@@ -36,7 +36,7 @@ print(f"3 qubits, 2 layers: omega_max per feature {desc.omega_max}, "
 
 model = surrogate_exact(config, params)
 print(f"surrogate mode '{model.mode}' with {len(model.frequencies)} terms, "
-      f"fit residual {model.residual:.2e}")
+      f"grid residual {model.residual:.2e}")
 
 X = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(500, 3))
 diff = predict_batch(model, X) - expectation_batch(config, params, X)

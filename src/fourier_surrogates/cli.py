@@ -34,6 +34,7 @@ from .datasets import (
 from .errors import CapExceeded, DomainTooSmall, InputFormatError, InsufficientSpectrum
 from .experiments import showcase, sweep, sweep_to_csv
 from .pipeline import (
+    DEFAULT_CAP,
     BoundParams,
     TrainConfig,
     bound_alpha_epsilon,
@@ -49,7 +50,7 @@ from .pipeline import (
 )
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import SpectrumDescriptor, enumerate_canonical, omega_max_of
-from .surrogate import load_model, mse, save_model
+from .surrogate import DEFAULT_RCOND, load_model, mse, save_model
 
 __all__ = ["main"]
 
@@ -231,7 +232,7 @@ def cmd_surrogate(args) -> None:
     run = _Run(args, "surrogate")
     config, params = _load_circuit(args)
     if args.mode == "exact":
-        model = surrogate_exact(config, params, cap=args.cap, rcond=args.rcond)
+        model = surrogate_exact(config, params, cap=args.cap)
     else:
         if not args.dataset:
             raise _UsageError("rff mode requires --dataset")
@@ -442,8 +443,10 @@ def _build_parser() -> _Parser:
     _add_circuit_flags(p)
     p.add_argument("--dataset", default=None, help="input points for rff mode")
     p.add_argument("--frequencies", type=int, default=100)
-    p.add_argument("--cap", type=int, default=10_000)
-    p.add_argument("--rcond", type=float, default=1e-10)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="largest lattice (grid rows simulated) exact mode accepts")
+    p.add_argument("--rcond", type=float, default=DEFAULT_RCOND,
+                   help="relative singular-value cutoff of the rff least-squares fit")
     p.add_argument("--output", default="model.json")
     p.set_defaults(func=cmd_surrogate)
 

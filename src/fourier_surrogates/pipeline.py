@@ -2,11 +2,15 @@
 
 Two ways to turn a circuit into a surrogate:
 
-* ``surrogate_exact`` evaluates the circuit on the full tensor grid and
-  solves the full-lattice complex design. The grid/lattice pairing makes
-  the system a scaled unitary DFT, so recovery is exact up to floating
-  point. Cost explodes with qubits; that is what ``estimate_memory``
-  quantifies and ``CapExceeded`` guards.
+* ``surrogate_exact`` simulates the circuit on the full tensor grid, in
+  chunks of ``EXACT_CHUNK_ROWS`` rows, and takes one multidimensional
+  FFT of the grid values. With T_i = 2*omega_max(i) + 1 points per
+  feature the grid/lattice pairing is a scaled DFT, so every
+  coefficient is recovered exactly up to floating point. The cost is
+  one circuit evaluation per lattice vector, which explodes with
+  qubits; ``CapExceeded`` guards it. ``estimate_memory`` reports the
+  dense grid-by-lattice design accounting, which this route never
+  builds.
 * ``surrogate_rff`` replaces the grid with a given set of input points
   (normally the training data) and the lattice with D frequency vectors
   sampled uniformly without replacement, then solves the real cos/sin
@@ -34,7 +38,6 @@ from .spectrum import (
     SpectrumDescriptor,
     canonical_count,
     enumerate_canonical,
-    enumerate_lattice,
     full_grid,
     lattice_size,
     omega_max_of,
@@ -43,14 +46,17 @@ from .spectrum import (
 from .surrogate import (
     DEFAULT_RCOND,
     SurrogateModel,
-    build_complex_design,
     build_real_design,
-    complex_fit_to_real,
     fit,
 )
 
+# not called here; the benchmark tracer (perfbench/tracer.py) wraps both
+# as pipeline attributes, so they stay importable from this module
+from .surrogate import build_complex_design, complex_fit_to_real  # noqa: F401
+
 __all__ = [
     "DEFAULT_CAP",
+    "EXACT_CHUNK_ROWS",
     "TIER_LIMITS",
     "ResourceEstimate",
     "BoundParams",
@@ -70,9 +76,13 @@ __all__ = [
     "sigma_p_of",
 ]
 
-#: default ceiling on lattice size for the exact route (the dense design
-#: holds lattice_size^2 complex entries, so 10^4 means ~1.6 GB at most)
+#: default ceiling on lattice size for the exact route; it bounds the grid
+#: rows simulated, one circuit evaluation per lattice vector
 DEFAULT_CAP = 10_000
+
+#: grid rows per simulator call on the exact route, so its statevectors
+#: never take more than EXACT_CHUNK_ROWS x 2^n amplitudes at once
+EXACT_CHUNK_ROWS = 4096
 
 #: hardware-tier ceilings in bytes for classifying design-matrix storage
 TIER_LIMITS = (
@@ -153,9 +163,16 @@ def surrogate_exact(
     config: CircuitConfig,
     params: ParameterSet,
     cap: int = DEFAULT_CAP,
-    rcond: float = DEFAULT_RCOND,
 ) -> SurrogateModel:
-    """Exact surrogate via full-grid evaluation and full-lattice fit.
+    """Exact surrogate from the full grid and one FFT.
+
+    The circuit is simulated on the grid with T_i = 2*omega_max(i) + 1
+    points per feature, EXACT_CHUNK_ROWS rows at a time. Then
+    C = fftn(y) / N holds the coefficient of exp(+i w.x) at index
+    w mod T, so the intercept is Re C_0 and each canonical w gets
+    a_w = 2 Re C_w and b_w = -2 Im C_w. Frequencies come in the
+    lexicographic order of the box. ``residual`` is the 2-norm of the
+    series' error on the grid, computed by inverse FFT.
 
     Raises CapExceeded (with the memory estimate attached) when the
     lattice is larger than ``cap``.
@@ -166,18 +183,30 @@ def surrogate_exact(
     if size > cap:
         raise CapExceeded(size, cap, estimate=estimate_memory(config))
     grid = full_grid(desc, cap=cap)
-    y = expectation_batch(config, params, grid.points)
-    lattice = list(enumerate_lattice(desc, cap))
-    design = build_complex_design(grid.points, lattice)
-    coeffs, residual = fit(design, y, rcond=rcond)
-    intercept, canon, a, b = complex_fit_to_real(lattice, coeffs)
+    T = grid.per_feature_counts
+    y = np.concatenate([
+        expectation_batch(config, params, grid.points[start : start + EXACT_CHUNK_ROWS])
+        for start in range(0, size, EXACT_CHUNK_ROWS)
+    ]).reshape(T)
+    C = np.fft.fftn(y) / size
+    # box indices above the centre are exactly the canonical vectors
+    freqs = np.stack(np.unravel_index(np.arange(size // 2 + 1, size), T), axis=1)
+    freqs -= np.asarray(desc.omega_max)
+    bins = tuple((freqs % T).T)
+    c = C[bins]
+    # the series' own spectrum is conjugate-symmetric with a real C_0
+    series = np.zeros_like(C)
+    series[bins] = c
+    series[tuple((-freqs % T).T)] = np.conj(c)
+    series.flat[0] = C.flat[0].real
+    residual = float(np.linalg.norm(np.fft.ifftn(series).real * size - y))
     return SurrogateModel(
         d=desc.d,
         omega_max=desc.omega_max,
-        intercept=intercept,
-        frequencies=tuple(canon),
-        cos_coeffs=a,
-        sin_coeffs=b,
+        intercept=float(C.flat[0].real),
+        frequencies=tuple(map(tuple, freqs.tolist())),
+        cos_coeffs=2.0 * c.real,
+        sin_coeffs=-2.0 * c.imag,
         mode="exact",
         residual=residual,
         fingerprint=fingerprint_of(config, params),
@@ -267,10 +296,9 @@ def train(
     iteration after it).
     """
     X, y = dataset.X, dataset.y
-    if X.shape[1] != (config.d_features or config.n_qubits):
+    if X.shape[1] != config.d_features:
         raise ValueError(
-            f"dataset has {X.shape[1]} features, circuit encodes "
-            f"{config.d_features or config.n_qubits}"
+            f"dataset has {X.shape[1]} features, circuit encodes {config.d_features}"
         )
     if y.size == 0:
         raise ValueError("empty dataset")

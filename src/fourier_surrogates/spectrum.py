@@ -200,8 +200,9 @@ def full_grid(desc: SpectrumDescriptor, cap: int = 10**6) -> Grid:
     """Equidistant tensor-product grid with T_i = 2*omega_max(i) + 1.
 
     On this grid the design matrix over the full lattice is orthogonal
-    (a scaled multidimensional DFT), so least squares recovers every
-    coefficient exactly.  Raises CapExceeded when prod(T_i) > cap.
+    (a scaled multidimensional DFT), so an FFT of the grid values
+    recovers every coefficient exactly.  Raises CapExceeded when
+    prod(T_i) > cap.
     """
     size = lattice_size(desc)
     if size > cap:

@@ -4,14 +4,16 @@ The deployable artifact is a real truncated Fourier series
 
     s(x) = c0 + sum_w  a_w * cos(w . x) + b_w * sin(w . x)
 
-over a set of canonical frequency vectors.  Two design-matrix bases feed
-the fit: the complex-exponential basis exp(-i w.x) over a full,
-conjugate-closed lattice (exact route) and the real [1 | cos | sin]
-basis over sampled canonical frequencies (resource-efficient route).
-Both are solved by an SVD pseudoinverse with relative singular-value
-truncation, and complex solutions are folded into the real (a, b) form:
-for a real-valued target with conjugate-closed frequencies,
-c_{-w} = conj(c_w), so a_w = 2 Re c_w and b_w = 2 Im c_w.
+over a set of canonical frequency vectors.  The resource-efficient route
+fits it on the real [1 | cos | sin] basis over sampled canonical
+frequencies, solved by an SVD pseudoinverse with relative singular-value
+truncation.  The exact route (``pipeline.surrogate_exact``) builds no
+design matrix: it reads the coefficients off an FFT of grid values.
+
+The complex-exponential basis exp(-i w.x) over a full, conjugate-closed
+lattice and ``complex_fit_to_real`` remain as the dense equivalent of
+that FFT: for a real-valued target, c_{-w} = conj(c_w), so
+a_w = 2 Re c_w and b_w = 2 Im c_w.
 """
 
 from __future__ import annotations

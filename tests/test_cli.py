@@ -156,6 +156,15 @@ def test_surrogate_rff_byte_identical_reruns(tmp_path):
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
 
 
+def test_surrogate_exact_byte_identical_reruns(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        rc = run_cli("surrogate", "exact", "--qubits", 3, "--layers", 2,
+                     "--param-seed", 4, "--out-dir", out)
+        assert rc == 0
+    assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+
+
 # --------------------------------------------------------------- estimate
 
 

@@ -19,21 +19,28 @@ from fourier_surrogates import (
     bound_beta_d,
     bound_lrr_features,
     bound_min_features,
+    build_complex_design,
+    complex_fit_to_real,
     empirical_kernel_sup,
     enumerate_canonical,
+    enumerate_lattice,
     estimate_memory,
     expectation_batch,
     fingerprint_of,
+    fit,
     full_grid,
     kernel_error_probability,
     lattice_kernel,
+    lattice_size,
     mse,
+    omega_max_of,
     predict_batch,
     sigma_p_of,
     surrogate_exact,
     surrogate_rff,
     train,
 )
+from fourier_surrogates import pipeline
 
 # ---------------------------------------------------------------------------
 # memory estimator
@@ -106,6 +113,63 @@ def test_exact_surrogate_cap_carries_estimate():
     assert info.value.size == 5**13
     assert info.value.estimate is not None
     assert info.value.estimate.feasible_on == "infeasible"
+
+
+def _dense_exact(config, params):
+    """The exact route as a dense complex least-squares solve over the full lattice."""
+    desc = omega_max_of(config)
+    grid = full_grid(desc)
+    lattice = list(enumerate_lattice(desc, cap=lattice_size(desc)))
+    y = expectation_batch(config, params, grid.points)
+    coeffs, _ = fit(build_complex_design(grid.points, lattice), y)
+    return complex_fit_to_real(lattice, coeffs)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CircuitConfig(n_qubits=1, n_layers=2),
+        CircuitConfig(n_qubits=3, n_layers=2),
+        # non-uniform omega_max: T = (5, 3)
+        CircuitConfig(n_qubits=3, n_layers=1, d_features=2, feature_assignment=(0, 0, 1)),
+        # T = (3, 5, 3) under a custom coupling map
+        CircuitConfig(
+            n_qubits=4, n_layers=1, d_features=3, feature_assignment=(0, 1, 1, 2),
+            coupling_map=((0, 3), (3, 1), (2, 1)),
+        ),
+        CircuitConfig(n_qubits=3, n_layers=2, coupling_map=((2, 0), (0, 1), (1, 2))),
+    ],
+    ids=["1q2L", "3q2L", "T53", "T353-coupling", "3q2L-coupling"],
+)
+def test_exact_fft_route_matches_dense_solve(config):
+    for seed in range(3):
+        params = ParameterSet.random(config, seed=seed)
+        model = surrogate_exact(config, params)
+        intercept, canon, a, b = _dense_exact(config, params)
+        assert model.frequencies == tuple(canon)
+        assert abs(model.intercept - intercept) <= 1e-12
+        np.testing.assert_allclose(model.cos_coeffs, a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.sin_coeffs, b, rtol=0, atol=1e-12)
+        assert model.residual <= 1e-12
+
+
+def test_exact_surrogate_simulates_the_grid_in_chunks(monkeypatch):
+    config = CircuitConfig(n_qubits=6, n_layers=2)
+    params = ParameterSet.random(config, seed=5)
+    rows = []
+
+    def counting(config, params, X, noise=None):
+        rows.append(len(X))
+        return expectation_batch(config, params, X, noise)
+
+    monkeypatch.setattr(pipeline, "expectation_batch", counting)
+    model = surrogate_exact(config, params, cap=5**6)
+    assert sum(rows) == 5**6
+    assert max(rows) == pipeline.EXACT_CHUNK_ROWS < 5**6
+    assert model.residual <= 1e-10
+    X = np.random.default_rng(4).uniform(0, 2 * np.pi, size=(200, 6))
+    truth = expectation_batch(config, params, X)
+    np.testing.assert_allclose(predict_batch(model, X), truth, rtol=0, atol=1e-8)
 
 
 def test_rff_equals_exact_in_the_full_limit():
