@@ -37,7 +37,7 @@ from .datasets import rescale_targets, synth_generate, train_test_split
 from .pipeline import TrainConfig, surrogate_rff, train
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import canonical_count, lattice_size, omega_max_of, sample_distinct
-from .surrogate import DEFAULT_RCOND, mse
+from .surrogate import DEFAULT_RCOND, build_real_design, mse
 
 __all__ = [
     "SweepReport",
@@ -119,11 +119,7 @@ class _LazyRealDesign:
         if D > len(self.freqs):
             raise ValueError(f"only {len(self.freqs)} frequencies available")
         if D > self._built:
-            W = np.asarray(self.freqs[self._built : D], dtype=float)
-            phases = self.X @ W.T
-            block = np.empty((self.X.shape[0], 2 * W.shape[0]))
-            block[:, 0::2] = np.cos(phases)
-            block[:, 1::2] = np.sin(phases)
+            block = build_real_design(self.X, self.freqs[self._built : D]).entries[:, 1:]
             self._mat = np.hstack([self._mat, block])
             self._built = D
         return self._mat[:, : 1 + 2 * D]

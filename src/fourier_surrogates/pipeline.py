@@ -189,9 +189,8 @@ def surrogate_exact(
         for start in range(0, size, EXACT_CHUNK_ROWS)
     ]).reshape(T)
     C = np.fft.fftn(y) / size
-    # box indices above the centre are exactly the canonical vectors
-    freqs = np.stack(np.unravel_index(np.arange(size // 2 + 1, size), T), axis=1)
-    freqs -= np.asarray(desc.omega_max)
+    canonical = enumerate_canonical(desc, cap=cap)
+    freqs = np.asarray(canonical)
     bins = tuple((freqs % T).T)
     c = C[bins]
     # the series' own spectrum is conjugate-symmetric with a real C_0
@@ -204,7 +203,7 @@ def surrogate_exact(
         d=desc.d,
         omega_max=desc.omega_max,
         intercept=float(C.flat[0].real),
-        frequencies=tuple(map(tuple, freqs.tolist())),
+        frequencies=tuple(canonical),
         cos_coeffs=2.0 * c.real,
         sin_coeffs=-2.0 * c.imag,
         mode="exact",

@@ -8,17 +8,25 @@ lattice and builds the equidistant grid with T_i = 2*omega_max(i) + 1
 points per feature on which the full coefficient set is exactly
 recoverable.
 
-Frequency vectors are plain tuples.  A vector is *canonical* when its
-first nonzero component is positive; each canonical vector stands for a
-conjugate (omega, -omega) pair, which keeps fitted surrogates
-real-valued.
+Frequency vectors are plain tuples of ints.  A vector is *canonical*
+when its first nonzero component is positive; each canonical vector
+stands for a conjugate (omega, -omega) pair, which keeps fitted
+surrogates real-valued.
+
+Index convention: the N = prod(T_i) lattice vectors are numbered 0..N-1
+in lexicographic order of the box, first component most significant, so
+the digit of feature i is omega_i + omega_max(i).  The origin sits at
+the centre N // 2 and negation maps index i to N - 1 - i, so the
+canonical vectors are exactly the indices above the centre and
+max(i, N - 1 - i) is the canonical index of either member of a pair.
+``enumerate_canonical`` and ``sample_distinct`` both work on these
+indices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +39,13 @@ __all__ = [
     "omega_max_of",
     "lattice_size",
     "canonical_count",
-    "enumerate_lattice",
     "enumerate_canonical",
     "canonicalize",
     "sample_distinct",
     "full_grid",
 ]
 
-FrequencyVector = tuple  # d integers (or floats in continuous mode)
+FrequencyVector = tuple  # d integers
 
 
 @dataclass(frozen=True)
@@ -103,97 +110,74 @@ def canonicalize(freq: Sequence) -> FrequencyVector:
     return tuple(freq)
 
 
-def enumerate_lattice(desc: SpectrumDescriptor, cap: int) -> Iterator[FrequencyVector]:
-    """Yield every lattice vector once, in lexicographic order.
+def _box_index(desc: SpectrumDescriptor, vectors: np.ndarray) -> np.ndarray:
+    """Box index of each row of a (k, d) integer array."""
+    # past int64 the indices stay exact as Python ints
+    dtype = np.int64 if lattice_size(desc) <= np.iinfo(np.int64).max else object
+    index = np.zeros(len(vectors), dtype=dtype)
+    for column, w in zip(vectors.T, desc.omega_max):
+        index = index * (2 * w + 1) + (column + w)
+    return index
 
-    Conjugate pairs appear explicitly (no canonicalization); the exact
-    surrogation route needs both members.  Raises CapExceeded when the
-    lattice is larger than ``cap``.
+
+def _box_vectors(desc: SpectrumDescriptor, index: np.ndarray) -> np.ndarray:
+    """The (k, d) integer vectors at the given box indices; inverts _box_index."""
+    vectors = np.empty((len(index), desc.d), dtype=np.int64)
+    for i in reversed(range(desc.d)):
+        t = 2 * desc.omega_max[i] + 1
+        vectors[:, i] = index % t - desc.omega_max[i]
+        index = index // t
+    return vectors
+
+
+def enumerate_canonical(desc: SpectrumDescriptor, cap: int) -> list[FrequencyVector]:
+    """All canonical nonzero vectors, in lexicographic order of the box.
+
+    Raises CapExceeded when the lattice is larger than ``cap``.
     """
     size = lattice_size(desc)
     if size > cap:
         raise CapExceeded(size, cap)
-    ranges = [range(-w, w + 1) for w in desc.omega_max]
-    return itertools.product(*ranges)
+    vectors = _box_vectors(desc, np.arange(size // 2 + 1, size))
+    return list(zip(*vectors.T.tolist()))
 
 
-def enumerate_canonical(desc: SpectrumDescriptor, cap: int) -> list[FrequencyVector]:
-    """All canonical nonzero vectors, in lexicographic order of the box."""
-    zero = (0,) * desc.d
-    out = []
-    for freq in enumerate_lattice(desc, cap):
-        if freq == zero:
-            continue
-        if canonicalize(freq) == freq:
-            out.append(freq)
-    return out
-
-
-_RETRY_FACTOR = 100
-_FALLBACK_CAP = 10**6
-
-
-def sample_distinct(
-    desc: SpectrumDescriptor,
-    D: int,
-    seed: int,
-    continuous: bool = False,
-) -> list[FrequencyVector]:
+def sample_distinct(desc: SpectrumDescriptor, D: int, seed: int) -> list[FrequencyVector]:
     """Draw D distinct canonical nonzero frequency vectors.
 
-    Components are sampled independently and uniformly over the integer
-    range [-omega_max(i), omega_max(i)], canonicalized, with duplicates
-    and the all-zero vector rejected (the constant term is carried by
-    the surrogate's intercept instead).  The result is ordered by draw,
-    so for a fixed seed the first k entries of a size-D sample equal a
-    size-k sample, which is what sweeping D relies on.
+    Components are drawn independently and uniformly over the integer
+    range [-omega_max(i), omega_max(i)]. Each drawn vector is mapped to
+    its canonical index; the origin (the constant term is carried by the
+    surrogate's intercept instead) and repeats are dropped, and the first
+    D distinct indices in draw order are decoded. For a fixed seed the
+    first k entries of a size-D sample therefore equal a size-k sample,
+    which is what sweeping D relies on.
 
-    ``continuous=True`` switches to real-valued components uniform over
-    the same box, a comparison mode; the integer lattice is what the
-    circuit's Fourier representation supports exactly.
+    Vectors are drawn in blocks of D. numpy's generator yields the same
+    values whether they are asked for one vector per call or a block at
+    a time, so the sample for a seed is the one that drawing vector by
+    vector gives.
 
-    Deterministic per seed.  Raises InsufficientSpectrum when D exceeds
-    the canonical lattice count (integer mode).
+    Deterministic per seed. Raises InsufficientSpectrum when D exceeds
+    canonical_count(desc).
     """
     if D < 1:
         raise ValueError("D must be positive")
-    if all(w == 0 for w in desc.omega_max):
-        raise InsufficientSpectrum(D, 0)
-    rng = np.random.default_rng(seed)
-    if continuous:
-        out: list[FrequencyVector] = []
-        bounds = np.asarray(desc.omega_max, dtype=float)
-        while len(out) < D:
-            vec = canonicalize(tuple(float(v) for v in rng.uniform(-bounds, bounds)))
-            if any(vec):
-                out.append(vec)
-        return out
-
     available = canonical_count(desc)
     if D > available:
         raise InsufficientSpectrum(D, available)
-    lows = np.asarray([-w for w in desc.omega_max])
-    highs = np.asarray([w + 1 for w in desc.omega_max])
-    seen: set[FrequencyVector] = set()
-    out = []
-    attempts = 0
-    max_attempts = _RETRY_FACTOR * D
-    while len(out) < D and attempts < max_attempts:
-        attempts += 1
-        vec = canonicalize(tuple(int(v) for v in rng.integers(lows, highs)))
-        if not any(vec) or vec in seen:
-            continue
-        seen.add(vec)
-        out.append(vec)
-    if len(out) < D:
-        # rejection stalled (D close to the full canonical set): fill from
-        # an explicit enumeration in seeded random order
-        if lattice_size(desc) > _FALLBACK_CAP:
-            raise InsufficientSpectrum(D, available)
-        rest = [f for f in enumerate_canonical(desc, _FALLBACK_CAP) if f not in seen]
-        order = rng.permutation(len(rest))
-        out.extend(rest[i] for i in order[: D - len(out)])
-    return out
+    rng = np.random.default_rng(seed)
+    omega = np.asarray(desc.omega_max)
+    centre = lattice_size(desc) // 2
+    drawn = np.zeros(0, dtype=np.int64)
+    while len(drawn) < D:
+        index = _box_index(desc, rng.integers(-omega, omega + 1, size=(D, desc.d)))
+        index = np.maximum(index, 2 * centre - index)
+        drawn = np.concatenate([drawn, index[index != centre]])
+        _, first = np.unique(drawn, return_index=True)
+        drawn = drawn[np.sort(first)]
+    # tuples built column-wise: no row lists held alongside them
+    return list(zip(*_box_vectors(desc, drawn[:D]).T.tolist()))
 
 
 def full_grid(desc: SpectrumDescriptor, cap: int = 10**6) -> Grid:

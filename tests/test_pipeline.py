@@ -1,5 +1,6 @@
 """Surrogation routes, trainer, memory estimator, and bound calculators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from fourier_surrogates import (
     complex_fit_to_real,
     empirical_kernel_sup,
     enumerate_canonical,
-    enumerate_lattice,
     estimate_memory,
     expectation_batch,
     fingerprint_of,
@@ -31,7 +31,6 @@ from fourier_surrogates import (
     full_grid,
     kernel_error_probability,
     lattice_kernel,
-    lattice_size,
     mse,
     omega_max_of,
     predict_batch,
@@ -119,7 +118,7 @@ def _dense_exact(config, params):
     """The exact route as a dense complex least-squares solve over the full lattice."""
     desc = omega_max_of(config)
     grid = full_grid(desc)
-    lattice = list(enumerate_lattice(desc, cap=lattice_size(desc)))
+    lattice = list(itertools.product(*(range(-w, w + 1) for w in desc.omega_max)))
     y = expectation_batch(config, params, grid.points)
     coeffs, _ = fit(build_complex_design(grid.points, lattice), y)
     return complex_fit_to_real(lattice, coeffs)

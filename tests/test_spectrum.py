@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fourier_surrogates import (
     CapExceeded,
@@ -13,12 +14,38 @@ from fourier_surrogates import (
     canonical_count,
     canonicalize,
     enumerate_canonical,
-    enumerate_lattice,
     full_grid,
     lattice_size,
     omega_max_of,
     sample_distinct,
 )
+from fourier_surrogates.experiments import _derive
+from fourier_surrogates.spectrum import _box_index, _box_vectors
+
+
+def _lattice(desc):
+    """Every lattice vector once, in lexicographic order of the box."""
+    return list(itertools.product(*(range(-w, w + 1) for w in desc.omega_max)))
+
+
+def _rejection_sample(desc, D, seed):
+    """The per-vector rejection sampler that sample_distinct replaced.
+
+    One ``rng.integers`` call per vector, canonicalized, the origin and
+    repeats rejected. Its enumeration fallback after 100 * D draws is
+    left out: collecting all M canonical vectors takes about M * H_M
+    draws, so it never ran.
+    """
+    rng = np.random.default_rng(seed)
+    lows = np.asarray([-w for w in desc.omega_max])
+    highs = np.asarray([w + 1 for w in desc.omega_max])
+    seen, out = set(), []
+    while len(out) < D:
+        vec = canonicalize(tuple(int(v) for v in rng.integers(lows, highs)))
+        if any(vec) and vec not in seen:
+            seen.add(vec)
+            out.append(vec)
+    return out
 
 
 def test_descriptor_validation():
@@ -55,18 +82,10 @@ def test_lattice_and_canonical_sizes():
     assert lattice_size(SpectrumDescriptor((1, 3, 0))) == 3 * 7 * 1
 
 
-def test_enumerate_lattice_is_exhaustive_and_ordered():
-    desc = SpectrumDescriptor((1, 2))
-    got = list(enumerate_lattice(desc, cap=100))
-    want = list(itertools.product(range(-1, 2), range(-2, 3)))
-    assert got == want
-    assert len(got) == lattice_size(desc)
-
-
-def test_enumerate_lattice_cap():
+def test_enumerate_canonical_cap():
     desc = SpectrumDescriptor((2, 2))
     with pytest.raises(CapExceeded) as info:
-        enumerate_lattice(desc, cap=24)
+        enumerate_canonical(desc, cap=24)
     assert info.value.size == 25
     assert info.value.cap == 24
 
@@ -87,7 +106,7 @@ def test_enumerate_canonical_partitions_the_lattice():
         assert nz and nz[0] > 0
     # canonical vectors, their negations, and zero tile the whole box
     mirrored = {tuple(-v for v in f) for f in canon}
-    assert set(canon) | mirrored | {(0, 0)} == set(enumerate_lattice(desc, cap=100))
+    assert set(canon) | mirrored | {(0, 0)} == set(_lattice(desc))
     assert not set(canon) & mirrored
 
 
@@ -129,14 +148,73 @@ def test_sample_distinct_errors():
         sample_distinct(SpectrumDescriptor((0, 0)), 1, seed=0)
 
 
-def test_sample_distinct_continuous_mode():
-    desc = SpectrumDescriptor((2, 3))
-    out = sample_distinct(desc, 50, seed=1, continuous=True)
-    assert len(out) == 50
-    for f in out:
-        assert isinstance(f[0], float)
-        assert canonicalize(f) == f
-        assert abs(f[0]) <= 2 and abs(f[1]) <= 3
+@pytest.mark.parametrize(
+    "omega_max", [(1,), (2,), (0, 1), (2, 0), (1, 0, 2), (2, 2), (0, 2, 0, 1), (3, 1, 2), (1,) * 5]
+)
+def test_sample_distinct_matches_rejection_sampler(omega_max):
+    desc = SpectrumDescriptor(omega_max)
+    available = canonical_count(desc)
+    for D in sorted({1, max(1, available // 3), available}):
+        for seed in range(4):
+            assert sample_distinct(desc, D, seed) == _rejection_sample(desc, D, seed)
+
+
+def test_sample_distinct_matches_rejection_sampler_on_synth_shapes():
+    # synth_generate's trig-poly draw: omega_max 2 per feature, 2d+3 terms
+    for d in range(1, 11):
+        desc = SpectrumDescriptor((2,) * d)
+        D = min(canonical_count(desc), 2 * d + 3)
+        for s in range(5):
+            seed = int(np.random.SeedSequence(s).spawn(3)[1].generate_state(1)[0])
+            assert sample_distinct(desc, D, seed) == _rejection_sample(desc, D, seed)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_sample_distinct_matches_rejection_sampler_on_sweep_shapes(n):
+    # the frequency sweep's draw: 2 layers, d_cap = min(10 000, canonical count)
+    desc = omega_max_of(CircuitConfig(n_qubits=n, n_layers=2))
+    D = min(10_000, canonical_count(desc))
+    seed = _derive(0, n, 0, 3)
+    assert sample_distinct(desc, D, seed) == _rejection_sample(desc, D, seed)
+
+
+def test_sample_distinct_past_int64_box_indices():
+    # 5**30 lattice vectors: box indices no longer fit in int64
+    desc = SpectrumDescriptor((2,) * 30)
+    assert lattice_size(desc) > np.iinfo(np.int64).max
+    assert sample_distinct(desc, 40, seed=2) == _rejection_sample(desc, 40, 2)
+
+
+@pytest.mark.parametrize(
+    "omega_max", [(1,), (3,), (0, 2), (2, 0, 1), (1, 2), (5, 3, 7), (2,) * 6, (1,) * 12]
+)
+def test_enumerate_canonical_matches_canonicalize_filter(omega_max):
+    desc = SpectrumDescriptor(omega_max)
+    want = [f for f in _lattice(desc) if any(f) and canonicalize(f) == f]
+    assert enumerate_canonical(desc, cap=lattice_size(desc)) == want
+
+
+@st.composite
+def _box_and_index(draw):
+    desc = SpectrumDescriptor(tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))))
+    return desc, draw(st.integers(0, lattice_size(desc) - 1))
+
+
+@given(_box_and_index())
+def test_box_index_round_trips(box_and_index):
+    desc, i = box_and_index
+    N = lattice_size(desc)
+    vec = _box_vectors(desc, np.array([i]))
+    assert vec.shape == (1, desc.d)
+    assert all(abs(v) <= w for v, w in zip(vec[0].tolist(), desc.omega_max))
+    assert _box_index(desc, vec)[0] == i
+    # negation mirrors the index; indices above the centre are canonical
+    assert _box_vectors(desc, np.array([N - 1 - i])).tolist() == (-vec).tolist()
+    f = tuple(vec[0].tolist())
+    if i > N // 2:
+        assert any(f) and canonicalize(f) == f
+    elif i == N // 2:
+        assert not any(f)
 
 
 def test_full_grid_structure():
@@ -162,7 +240,7 @@ def test_full_grid_makes_design_orthogonal():
 
     desc = SpectrumDescriptor((1, 1))
     grid = full_grid(desc)
-    lattice = list(enumerate_lattice(desc, cap=100))
+    lattice = _lattice(desc)
     A = build_complex_design(grid.points, lattice).entries
     gram = A.conj().T @ A
     np.testing.assert_allclose(gram, len(grid.points) * np.eye(len(lattice)), atol=1e-12)
