@@ -3,9 +3,18 @@
 Every subcommand writes its JSON artifact(s) plus a run manifest into
 --out-dir and logs one line per file. Noiseless runs are bit-reproducible:
 identical command and seed give byte-identical artifacts (manifests carry
-wall-clock time and are exempt). Errors print a machine-readable JSON
-object to stderr and exit with 1 (usage), 2 (input/output), 3 (numerical
-or cap), or 4 (violated precondition).
+wall-clock time and are exempt).
+
+Each subcommand accepts only the flags it reads; --seed, --out-dir and
+--json-logs are on every one because every manifest records them.
+--shots is read by train, surrogate rff, sweep and showcase;
+--depolarizing by surrogate rff, sweep and showcase. surrogate takes its
+mode first (exact or rff), then the flags of that mode.
+
+Errors print a machine-readable JSON object to stderr and exit with
+1 (usage, including any flag the subcommand does not take),
+2 (input/output, including a malformed input file), 3 (numerical or cap),
+4 (violated precondition), or 5 (any other error, after its traceback).
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -129,22 +139,36 @@ def _noise_from(args) -> NoiseConfig | None:
     )
 
 
+def _parse_file(parse, path: Path):
+    """``parse(path)``, with malformed content reported as an InputFormatError
+    naming the file (json.JSONDecodeError is a ValueError)."""
+    try:
+        return parse(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_circuit(path: Path) -> tuple[CircuitConfig, ParameterSet]:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return (
+        CircuitConfig.from_json_dict(doc["config"]),
+        ParameterSet.from_json_dict(doc["params"]),
+    )
+
+
 def _load_input_dataset(args) -> Dataset:
     path = Path(args.input)
     if path.suffix.lower() == ".csv":
         if not args.target_column:
             raise _UsageError("--target-column is required for CSV input")
         return load_csv(path, args.target_column)
-    return load_dataset(path)
+    return _parse_file(load_dataset, path)
 
 
 def _load_circuit(args) -> tuple[CircuitConfig, ParameterSet]:
     if args.circuit:
-        with open(args.circuit, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        config = CircuitConfig.from_json_dict(doc["config"])
-        params = ParameterSet.from_json_dict(doc["params"])
-        return config, params
+        return _parse_file(_read_circuit, Path(args.circuit))
     if args.qubits is None:
         raise _UsageError("either --circuit or --qubits/--layers is required")
     config = CircuitConfig(
@@ -164,6 +188,11 @@ def _add_circuit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", type=int, default=None)
     p.add_argument("--theta", choices=["zero", "random"], default="random")
     p.add_argument("--param-seed", type=int, default=0)
+
+
+def _add_noise_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--depolarizing", type=float, default=0.0)
 
 
 def cmd_datagen(args) -> None:
@@ -201,7 +230,7 @@ def cmd_preprocess(args) -> None:
 
 def cmd_train(args) -> None:
     run = _Run(args, "train")
-    ds = load_dataset(Path(args.dataset))
+    ds = _parse_file(load_dataset, Path(args.dataset))
     config = CircuitConfig(
         n_qubits=args.qubits, n_layers=args.layers, d_features=args.features
     )
@@ -234,9 +263,7 @@ def cmd_surrogate(args) -> None:
     if args.mode == "exact":
         model = surrogate_exact(config, params, cap=args.cap)
     else:
-        if not args.dataset:
-            raise _UsageError("rff mode requires --dataset")
-        ds = load_dataset(Path(args.dataset))
+        ds = _parse_file(load_dataset, Path(args.dataset))
         model = surrogate_rff(
             config, params, ds.X, D=args.frequencies,
             seed=args.seed, noise=_noise_from(args), rcond=args.rcond,
@@ -253,12 +280,12 @@ def cmd_surrogate(args) -> None:
 
 def cmd_eval(args) -> None:
     run = _Run(args, "eval")
-    model = load_model(Path(args.model))
-    ds = load_dataset(Path(args.dataset))
+    model = _parse_file(load_model, Path(args.model))
+    ds = _parse_file(load_dataset, Path(args.dataset))
     surrogate_mse = mse(model, ds.X, ds.y)
     doc = {"surrogate_mse": surrogate_mse, "n_rows": ds.n_rows}
     if args.circuit:
-        config, params = _load_circuit(args)
+        config, params = _parse_file(_read_circuit, Path(args.circuit))
         preds = expectation_batch(config, params, ds.X)
         quantum_mse = float(np.mean((preds - ds.y) ** 2))
         doc["quantum_mse"] = quantum_mse
@@ -301,7 +328,7 @@ def cmd_bounds(args) -> None:
         if d is None:
             raise _UsageError("--dimension is required with --sigma-p")
     elif desc is not None:
-        sigma_p = sigma_p_of(desc, seed=args.seed)
+        sigma_p = sigma_p_of(desc)
         d = desc.d
     else:
         raise _UsageError("provide --sigma-p with --dimension, --omega-max, or --qubits")
@@ -400,8 +427,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
-    common.add_argument("--shots", type=int, default=None)
-    common.add_argument("--depolarizing", type=float, default=0.0)
     common.add_argument("--json-logs", action="store_true")
 
     parser = _Parser(prog="fourier-surrogates", description=__doc__)
@@ -435,25 +460,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--learning-rate", type=float, default=0.2)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--shots", type=int, default=None)
     p.add_argument("--output", default="trained.json")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("surrogate", parents=[common], help="build a classical surrogate")
-    p.add_argument("mode", choices=["exact", "rff"])
-    _add_circuit_flags(p)
-    p.add_argument("--dataset", default=None, help="input points for rff mode")
-    p.add_argument("--frequencies", type=int, default=100)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="largest lattice (grid rows simulated) exact mode accepts")
-    p.add_argument("--rcond", type=float, default=DEFAULT_RCOND,
-                   help="relative singular-value cutoff of the rff least-squares fit")
-    p.add_argument("--output", default="model.json")
-    p.set_defaults(func=cmd_surrogate)
+    p = sub.add_parser("surrogate", help="build a classical surrogate")
+    modes = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
+    m = modes.add_parser("exact", parents=[common], help="full grid and one FFT")
+    _add_circuit_flags(m)
+    m.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="largest lattice (grid rows simulated) accepted")
+    m.add_argument("--output", default="model.json")
+    m.set_defaults(func=cmd_surrogate)
+    m = modes.add_parser("rff", parents=[common], help="sampled frequencies at given points")
+    _add_circuit_flags(m)
+    m.add_argument("--dataset", required=True, help="input points to evaluate and fit")
+    m.add_argument("--frequencies", type=int, default=100)
+    m.add_argument("--rcond", type=float, default=DEFAULT_RCOND,
+                   help="relative singular-value cutoff of the least-squares fit")
+    _add_noise_flags(m)
+    m.add_argument("--output", default="model.json")
+    m.set_defaults(func=cmd_surrogate)
 
     p = sub.add_parser("eval", parents=[common], help="score a surrogate on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    _add_circuit_flags(p)
+    p.add_argument("--circuit", help="JSON file with config + params (from train)")
     p.add_argument("--output", default="eval.json")
     p.set_defaults(func=cmd_eval)
 
@@ -495,6 +527,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--train-fraction", type=float, default=0.7)
     p.add_argument("--max-frequencies", type=int, default=10_000)
     p.add_argument("--noise-sd", type=float, default=0.02)
+    _add_noise_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("showcase", parents=[common], help="train + surrogate headline run")
@@ -507,6 +540,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--learning-rate", type=float, default=0.3)
     p.add_argument("--noise-sd", type=float, default=0.1)
     p.add_argument("--train-fraction", type=float, default=0.7)
+    _add_noise_flags(p)
     p.set_defaults(func=cmd_showcase)
 
     return parser
@@ -528,7 +562,7 @@ def main(argv=None) -> int:
         return _fail(1, exc)
     except InputFormatError as exc:
         return _fail(2, exc)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
         return _fail(2, exc)
     except CapExceeded as exc:
         return _fail(3, exc)
@@ -536,6 +570,9 @@ def main(argv=None) -> int:
         return _fail(3, exc)
     except (DomainTooSmall, InsufficientSpectrum, ValueError) as exc:
         return _fail(4, exc)
+    except Exception as exc:
+        traceback.print_exc()
+        return _fail(5, exc)
 
 
 if __name__ == "__main__":

@@ -182,7 +182,6 @@ def sweep(
     depolarizing: float = 0.0,
     noise_sd: float = 0.02,
     base_seed: int = 0,
-    rcond: float = DEFAULT_RCOND,
 ) -> SweepReport:
     """Minimal frequencies (or datapoints) to stay under deviation thresholds.
 
@@ -264,7 +263,7 @@ def sweep(
                         A = design_fit.matrix(d_cap)[:q]
                         target = f_fit[:q]
                         D = d_cap
-                    coef, _, _, _ = np.linalg.lstsq(A, target, rcond=rcond)
+                    coef, _, _, _ = np.linalg.lstsq(A, target, rcond=DEFAULT_RCOND)
                     pred = design_test.matrix(D) @ coef
                     mse_s = float(np.mean((pred - y_test) ** 2))
                     cache[q] = (mse_s - mse_q) / mse_q if mse_q > 0 else math.inf
@@ -342,7 +341,6 @@ def showcase(
     shots: int | None = None,
     depolarizing: float = 0.0,
     base_seed: int = 0,
-    rcond: float = DEFAULT_RCOND,
 ) -> dict:
     """Train a circuit on synthetic data, surrogate it with few frequencies.
 
@@ -376,7 +374,7 @@ def showcase(
     for s in range(seeds):
         model = surrogate_rff(
             config, params, train_ds.X, D=n_frequencies,
-            seed=_derive(base_seed, 14, s), noise=noise, rcond=rcond,
+            seed=_derive(base_seed, 14, s), noise=noise,
         )
         mse_s = mse(model, test_ds.X, test_ds.y)
         per_seed.append(

@@ -36,7 +36,6 @@ from .errors import CapExceeded, DomainTooSmall
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import (
     SpectrumDescriptor,
-    canonical_count,
     enumerate_canonical,
     full_grid,
     lattice_size,
@@ -367,7 +366,6 @@ class BoundParams:
     lam: float | None = None
     lam0: float | None = None
     m_train: int | None = None
-    sigma_y_sq: float | None = None
     c1: float = 1.0
     c2: float = 1.0
     n_layers: int = 1
@@ -516,33 +514,20 @@ def empirical_kernel_sup(
     return sup_term, sup_err
 
 
-def sigma_p_of(
-    desc: SpectrumDescriptor,
-    exact_cap: int = 10**6,
-    n_samples: int = 10**5,
-    seed: int = 0,
-) -> float:
+def sigma_p_of(desc: SpectrumDescriptor) -> float:
     """RMS frequency norm sqrt(mean ||w||^2) over the canonical lattice.
 
-    Exact enumeration when the canonical lattice fits under exact_cap;
-    otherwise a Monte-Carlo estimate from uniform non-zero lattice draws
-    (norms are sign-invariant, so sampling the signed lattice minus the
-    origin matches the canonical distribution).
+    For the box |w_i| <= omega_i with N = prod(2*omega_i + 1) vectors,
+    each component's squares sum to omega_i(omega_i+1)(2*omega_i+1)/3, so
+    the N - 1 nonzero vectors (and, by sign symmetry, the canonical half
+    of them) have mean squared norm N * sum_i omega_i(omega_i+1) / (3(N-1)).
+    The ratio is formed in Python ints and divided once, which rounds
+    exactly as the mean over the enumerated lattice does.
+
+    Raises ValueError when the spectrum has no nonzero frequency.
     """
-    if canonical_count(desc) <= exact_cap:
-        W = np.asarray(enumerate_canonical(desc, cap=2 * exact_cap + 1), dtype=float)
-        return float(np.sqrt(np.mean(np.sum(W * W, axis=1))))
-    rng = np.random.default_rng(seed)
-    highs = np.asarray(desc.omega_max, dtype=int)
-    total = 0.0
-    collected = 0
-    while collected < n_samples:
-        block = rng.integers(-highs, highs + 1, size=(n_samples, desc.d))
-        nonzero = np.any(block != 0, axis=1)
-        block = block[nonzero]
-        take = min(len(block), n_samples - collected)
-        if take:
-            chunk = block[:take].astype(float)
-            total += float(np.sum(chunk * chunk))
-            collected += take
-    return float(math.sqrt(total / n_samples))
+    n = lattice_size(desc)
+    if n == 1:
+        raise ValueError("the spectrum has no nonzero frequency, so sigma_p is undefined")
+    square_sum = sum(w * (w + 1) for w in desc.omega_max)
+    return math.sqrt(n * square_sum / (3 * (n - 1)))

@@ -263,12 +263,100 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli("surrogate", "exact", "--out-dir", tmp_path) == 1
 
 
+# Each flag below belongs to another subcommand (or surrogate mode) and is
+# not read by the one it is given to.
+_UNREAD_FLAGS = [
+    ("datagen", "--shots", "5"),
+    ("datagen", "--depolarizing", "0.1"),
+    ("preprocess", "--shots", "5"),
+    ("preprocess", "--depolarizing", "0.1"),
+    ("train", "--depolarizing", "0.1"),
+    ("surrogate exact", "--shots", "10"),
+    ("surrogate exact", "--depolarizing", "0.1"),
+    ("surrogate exact", "--dataset", "data.json"),
+    ("surrogate exact", "--frequencies", "3"),
+    ("surrogate exact", "--rcond", "1e-10"),
+    ("surrogate rff", "--cap", "5"),
+    ("eval", "--shots", "5"),
+    ("eval", "--depolarizing", "0.1"),
+    ("eval", "--qubits", "3"),
+    ("eval", "--layers", "1"),
+    ("eval", "--features", "2"),
+    ("eval", "--theta", "zero"),
+    ("eval", "--param-seed", "1"),
+    ("estimate", "--shots", "5"),
+    ("estimate", "--depolarizing", "0.1"),
+    ("bounds", "--shots", "5"),
+    ("bounds", "--depolarizing", "0.1"),
+]
+
+_VALID_ARGV = {
+    "datagen": ["--dimension", "1", "--size", "5"],
+    "preprocess": ["--input", "data.json"],
+    "train": ["--dataset", "data.json", "--qubits", "1"],
+    "surrogate exact": ["--qubits", "1"],
+    "surrogate rff": ["--qubits", "1", "--dataset", "data.json"],
+    "eval": ["--model", "model.json", "--dataset", "data.json"],
+    "estimate": ["--qubits", "1"],
+    "bounds": ["--epsilon", "0.1", "--qubits", "1"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", _UNREAD_FLAGS)
+def test_unread_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    argv = [*command.split(), *_VALID_ARGV[command], "--out-dir", tmp_path]
+    assert run_cli(*argv, flag, value) == 1
+    err = last_stderr_json(capsys)
+    assert err["exit_code"] == 1
+    assert flag in err["message"]
+    assert not (tmp_path / f"{command.split()[0]}_manifest.json").exists()
+
+
+def test_flags_go_after_the_surrogate_mode(tmp_path):
+    assert run_cli("surrogate", "--qubits", 1, "exact", "--out-dir", tmp_path) == 1
+    assert run_cli("surrogate", "exact", "--qubits", 1, "--out-dir", tmp_path) == 0
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     rc = run_cli("train", "--dataset", tmp_path / "nope.json", "--qubits", 1,
                  "--out-dir", tmp_path)
     assert rc == 2
     err = last_stderr_json(capsys)
     assert err["exit_code"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["train", "--dataset", "{bad}", "--qubits", 1], "[1, 2]"),
+        (["eval", "--model", "{bad}", "--dataset", "{bad}"], '{"mode": "exact"}'),
+        (["surrogate", "exact", "--circuit", "{bad}"], '{"config": {}}'),
+        (["train", "--dataset", "{bad}", "--qubits", 1], "{not json"),
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    argv = [str(a).replace("{bad}", str(bad)) for a in argv]
+    assert run_cli(*argv, "--out-dir", tmp_path) == 2
+    err = last_stderr_json(capsys)
+    assert err["error"] == "InputFormatError"
+    assert err["exit_code"] == 2
+    assert str(bad) in err["message"]
+
+
+def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
+    from fourier_surrogates import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "surrogate_exact", broken)
+    rc = run_cli("surrogate", "exact", "--qubits", 1, "--out-dir", tmp_path)
+    assert rc == 5
+    err = last_stderr_json(capsys)
+    assert err["error"] == "KeyError"
+    assert err["exit_code"] == 5
 
 
 def test_cap_exceeded_exits_3(tmp_path, capsys):
@@ -288,6 +376,15 @@ def test_domain_too_small_exits_4(tmp_path, capsys):
     err = last_stderr_json(capsys)
     assert err["error"] == "DomainTooSmall"
     assert err["exit_code"] == 4
+
+
+def test_bounds_of_a_spectrum_without_nonzero_frequency_exits_4(tmp_path, capsys):
+    rc = run_cli("bounds", "--epsilon", 0.1, "--omega-max", 0, 0,
+                 "--out-dir", tmp_path)
+    assert rc == 4
+    err = last_stderr_json(capsys)
+    assert err["error"] == "ValueError"
+    assert "no nonzero frequency" in err["message"]
 
 
 def test_zero_frequency_budget_exits_4(tmp_path):

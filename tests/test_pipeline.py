@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fourier_surrogates import (
     BoundParams,
@@ -31,6 +32,7 @@ from fourier_surrogates import (
     full_grid,
     kernel_error_probability,
     lattice_kernel,
+    lattice_size,
     mse,
     omega_max_of,
     predict_batch,
@@ -472,13 +474,55 @@ def test_sigma_p_hand_values():
     assert sigma_p_of(SpectrumDescriptor((1,))) == 1.0
     assert abs(sigma_p_of(SpectrumDescriptor((2,))) - math.sqrt(2.5)) <= 1e-12
     assert abs(sigma_p_of(SpectrumDescriptor((1, 1))) - math.sqrt(1.5)) <= 1e-12
+    for omega in [(1,), (2,), (1, 1)]:
+        desc = SpectrumDescriptor(omega)
+        assert sigma_p_of(desc) == _sigma_p_enumerated(desc)
+    ten_qubits = omega_max_of(CircuitConfig(n_qubits=10, n_layers=2))
+    assert sigma_p_of(ten_qubits) == 4.472136183972958
 
 
-def test_sigma_p_monte_carlo_branch_agrees():
-    desc = SpectrumDescriptor((4, 4, 4))
-    exact = sigma_p_of(desc)
-    sampled = sigma_p_of(desc, exact_cap=0, n_samples=60_000, seed=0)
-    assert abs(sampled - exact) / exact <= 0.02
+def _sigma_p_enumerated(desc):
+    """RMS norm over the enumerated canonical lattice (the closed form's oracle)."""
+    W = np.asarray(enumerate_canonical(desc, cap=lattice_size(desc)), dtype=float)
+    return float(np.sqrt(np.mean(np.sum(W * W, axis=1))))
+
+
+_SIGMA_P_BOXES = [
+    omega
+    for d in (1, 2, 3)
+    for omega in itertools.product(range(4), repeat=d)
+    if any(omega)
+] + [(10,), (4, 4, 4), (0, 5, 0, 3), (2,) * 5, (1,) * 8, (2,) * 6, (12, 12, 12)]
+
+
+@pytest.mark.parametrize("omega", _SIGMA_P_BOXES)
+def test_sigma_p_closed_form_equals_enumeration(omega):
+    desc = SpectrumDescriptor(omega)
+    assert sigma_p_of(desc) == _sigma_p_enumerated(desc)
+
+
+@st.composite
+def _nonzero_box(draw, max_points=10**5):
+    omega = []
+    budget = max_points
+    for _ in range(draw(st.integers(1, 8))):
+        w = draw(st.integers(0, min(40, (budget - 1) // 2)))
+        omega.append(w)
+        budget //= 2 * w + 1
+    assume(any(omega))
+    return SpectrumDescriptor(tuple(omega))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_box())
+def test_sigma_p_closed_form_equals_enumeration_on_drawn_boxes(desc):
+    assert sigma_p_of(desc) == _sigma_p_enumerated(desc)
+
+
+def test_sigma_p_rejects_a_spectrum_without_nonzero_frequency():
+    for omega in [(0,), (0, 0), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="no nonzero frequency"):
+            sigma_p_of(SpectrumDescriptor(omega))
 
 
 def test_fingerprint_is_stable_and_distinct():
