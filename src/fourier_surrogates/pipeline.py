@@ -17,9 +17,13 @@ Two ways to turn a circuit into a surrogate:
   design. Cheap, approximate, and the regime the feature-count bounds
   (`bound_min_features` and friends) speak about.
 
-``train`` fits circuit parameters to data by plain gradient descent with
-parameter-shift gradients: for any Rx/Ry/Rz angle,
-df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly.
+``train`` fits circuit parameters to data by plain gradient descent.
+Noiseless gradients are adjoint-state (``simulator.mse_gradient``: one
+forward and one backward sweep through the gates, whatever the number
+of angles P). Training with shots keeps the parameter-shift rule, which
+needs only sampled expectations: for any Rx/Ry/Rz angle,
+df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly, so one
+iteration costs 2P + 1 sampled circuit evaluations.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CapExceeded, DomainTooSmall
-from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
+from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch, mse_gradient
 from .spectrum import (
     SpectrumDescriptor,
     enumerate_canonical,
@@ -254,11 +258,13 @@ def surrogate_rff(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the parameter-shift gradient-descent trainer.
+    """Knobs for the gradient-descent trainer.
 
     max_iters may be 0, which returns the initial parameters untouched
-    (useful for fixtures). With ``shots`` set, every circuit evaluation
-    is sampled, so gradients and recorded losses are noisy estimates.
+    (useful for fixtures). Without ``shots``, gradients are exact and
+    adjoint-state. With ``shots`` set, gradients are parameter-shift and
+    every circuit evaluation is sampled, so gradients and recorded losses
+    are noisy estimates.
     """
 
     learning_rate: float = 0.2
@@ -286,8 +292,10 @@ def train(
 ) -> tuple[ParameterSet, list[float]]:
     """Fit circuit parameters to a dataset by gradient descent on MSE.
 
-    Gradients come from the parameter-shift rule, exact for every
-    rotation angle in the circuit. Targets must already be in [-1, 1]
+    Without ``tc.shots`` the gradient is exact and comes from one adjoint
+    sweep (``simulator.mse_gradient``); with shots it comes from the
+    parameter-shift rule on sampled evaluations, 2P of them per
+    iteration plus one for the loss. Targets must already be in [-1, 1]
     (the observable's range); initial parameters default to a random
     draw from the config's shape under ``tc.seed``. Returns the final
     parameters and the loss history (initial loss first, one entry per
@@ -317,33 +325,40 @@ def train(
             noise_counter += 1
         return expectation_batch(config, ParameterSet(angles=angles), X, noise=noise)
 
-    angles = init.angles.copy()
-    shape = angles.shape
-    preds = evaluate(angles)
-    loss = float(np.mean((preds - y) ** 2))
-    history = [loss]
-    if not math.isfinite(loss):
-        raise FloatingPointError("training diverged: non-finite loss")
-    half_pi = math.pi / 2
-    for _ in range(tc.max_iters):
+    def shift_gradient(angles: np.ndarray, preds: np.ndarray) -> np.ndarray:
         flat = angles.reshape(-1)
         grad = np.zeros_like(flat)
         for j in range(flat.size):
             shifted = flat.copy()
-            shifted[j] += half_pi
-            f_plus = evaluate(shifted.reshape(shape))
+            shifted[j] += math.pi / 2
+            f_plus = evaluate(shifted.reshape(angles.shape))
             shifted[j] -= math.pi
-            f_minus = evaluate(shifted.reshape(shape))
+            f_minus = evaluate(shifted.reshape(angles.shape))
             df = (f_plus - f_minus) / 2.0
             grad[j] = float(np.mean(2.0 * (preds - y) * df))
-        angles = (flat - tc.learning_rate * grad).reshape(shape)
-        preds = evaluate(angles)
+        return grad.reshape(angles.shape)
+
+    angles = init.angles.copy()
+    history: list[float] = []
+    # Iteration k scores angles k and, unless it is the last or training
+    # has converged, steps from them. Without shots, one adjoint sweep
+    # gives the predictions and the gradient. With shots, the gradient is
+    # parameter-shift: 2P sampled evaluations after the scoring one, each
+    # with the next seed from noise_base.
+    for k in range(tc.max_iters + 1):
+        if tc.shots is None and k < tc.max_iters:
+            preds, grad = mse_gradient(config, ParameterSet(angles=angles), X, y)
+        else:
+            preds = evaluate(angles)
         loss = float(np.mean((preds - y) ** 2))
         if not math.isfinite(loss):
             raise FloatingPointError("training diverged: non-finite loss")
         history.append(loss)
-        if tc.tol > 0 and abs(history[-2] - history[-1]) < tc.tol:
+        if k == tc.max_iters or (k and tc.tol > 0 and abs(history[-2] - loss) < tc.tol):
             break
+        if tc.shots is not None:
+            grad = shift_gradient(angles, preds)
+        angles = angles - tc.learning_rate * grad
     return ParameterSet(angles=angles), history
 
 

@@ -23,6 +23,9 @@ state index, so for two qubits the basis order is |00>, |01>, |10>,
 All functions are pure; randomness enters only through explicit seeds.
 Batched variants evaluate many input vectors in one vectorized pass and
 are the preferred entry points for grid or dataset sampling.
+``mse_gradient`` gives exact predictions together with the gradient of
+their mean squared error in the angles, by the adjoint method; it and
+``run_circuit_batch`` walk the one gate list that ``_gates`` yields.
 """
 
 from __future__ import annotations
@@ -285,11 +288,42 @@ def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_circuit_batch(
-    config: CircuitConfig, params: ParameterSet, X: np.ndarray
-) -> np.ndarray:
-    """Run U(x)|0..0> for every row x of X; returns (len(X), 2**n) states."""
-    params.validate_for(config)
+def _gates(config: CircuitConfig):
+    """The circuit's gates in application order.
+
+    Yields ("rot", qubit, axis, (block, qubit, axis index)) for a trainable
+    rotation, whose angle is ``angles[index]``; ("enc", qubit, "x", feature)
+    for an encoding rotation by that input feature; and
+    ("cnot", control, target, None).
+    """
+    n = config.n_qubits
+    for block in range(config.n_layers + 1):
+        if block:
+            for q in range(n):
+                yield "enc", q, "x", config.feature_assignment[q]
+        for q in range(n):
+            for a, axis in enumerate(_AXES):
+                yield "rot", q, axis, (block, q, a)
+        for c, t in config.coupling_map:
+            yield "cnot", c, t, None
+
+
+def _apply_gate(states, gate, angles: np.ndarray, X: np.ndarray, inverse: bool = False):
+    """Apply one gate of ``_gates``, or its inverse, to every row.
+
+    Trainable rotations by exactly 0.0 are the identity and are skipped.
+    A CNOT is its own inverse.
+    """
+    kind, a, b, source = gate
+    if kind == "cnot":
+        return _cnot_batch(states, a, b)
+    theta = X[:, source] if kind == "enc" else angles[source]
+    if kind == "rot" and theta == 0.0:
+        return states
+    return _rotate_batch(states, a, b, -theta if inverse else theta)
+
+
+def _inputs(config: CircuitConfig, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != config.d_features:
         raise ValueError(
@@ -297,27 +331,67 @@ def run_circuit_batch(
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("inputs must be finite")
-    batch = X.shape[0]
-    n = config.n_qubits
-    states = np.zeros((batch, 2**n), dtype=complex)
+    return X
+
+
+def run_circuit_batch(
+    config: CircuitConfig, params: ParameterSet, X: np.ndarray
+) -> np.ndarray:
+    """Run U(x)|0..0> for every row x of X; returns (len(X), 2**n) states."""
+    params.validate_for(config)
+    X = _inputs(config, X)
+    states = np.zeros((X.shape[0], 2**config.n_qubits), dtype=complex)
     states[:, 0] = 1.0
-
-    def w_block(states, block):
-        for q in range(n):
-            for a, axis in enumerate(_AXES):
-                angle = params.angles[block, q, a]
-                if angle != 0.0:
-                    states = _rotate_batch(states, q, axis, angle)
-        for c, t in config.coupling_map:
-            states = _cnot_batch(states, c, t)
-        return states
-
-    states = w_block(states, 0)
-    for layer in range(1, config.n_layers + 1):
-        for q in range(n):
-            states = _rotate_batch(states, q, "x", X[:, config.feature_assignment[q]])
-        states = w_block(states, layer)
+    for gate in _gates(config):
+        states = _apply_gate(states, gate, params.angles, X)
     return states
+
+
+def _pauli_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
+    """Sum over rows of Im<lam|P|psi>, P the Pauli ``axis`` on ``qubit``."""
+    batch, dim = psi.shape
+    shape = (batch, 1 << qubit, 2, dim >> (qubit + 1))
+    lam, psi = lam.reshape(shape), psi.reshape(shape)
+    if axis != "z":
+        psi = psi[:, :, ::-1]  # X and Y swap the qubit's |0> and |1> halves
+    # halves[b] sums conj(lam) * psi over all rows and over the amplitudes
+    # where lam's bit for this qubit is b
+    halves = np.einsum("ijkl,ijkl->k", np.conj(lam), psi)
+    if axis == "x":
+        return float((halves[0] + halves[1]).imag)
+    if axis == "y":
+        return float((halves[1] - halves[0]).real)
+    return float((halves[0] - halves[1]).imag)
+
+
+def mse_gradient(
+    config: CircuitConfig, params: ParameterSet, X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact predictions f and the gradient of mean((f - y)^2) in the angles.
+
+    Adjoint method: after one forward pass, the costate
+    lam = 2(f - y)/m * O psi is swept back through the gates together
+    with psi, un-applying each gate to both. A rotation exp(-i theta P/2)
+    contributes sum over rows of Im<lam|P|psi> to its angle's entry.
+    Only psi and lam are held, never the intermediate states. Returns
+    (f, grad) with grad shaped like ``params.angles``.
+    """
+    X = _inputs(config, X)
+    psi = run_circuit_batch(config, params, X)
+    w = _mean_z_diagonal(config.n_qubits)
+    preds = np.abs(psi) ** 2 @ w
+    y = np.asarray(y, dtype=float)
+    if y.shape != preds.shape:
+        raise ValueError(f"targets of shape {y.shape} do not match {len(preds)} input rows")
+    lam = (2.0 * (preds - y) / len(preds))[:, None] * w * psi
+    grad = np.zeros_like(params.angles)
+    for gate in reversed(tuple(_gates(config))):
+        kind, qubit, axis, source = gate
+        if kind == "rot":
+            grad[source] = _pauli_overlap(lam, psi, qubit, axis)
+        psi = _apply_gate(psi, gate, params.angles, X, inverse=True)
+        lam = _apply_gate(lam, gate, params.angles, X, inverse=True)
+    return preds, grad
 
 
 def run_circuit(config: CircuitConfig, params: ParameterSet, x: np.ndarray) -> np.ndarray:

@@ -144,6 +144,19 @@ def test_train_surrogate_eval_round_trip(tmp_path):
     assert set(plain) == {"surrogate_mse", "n_rows"}
 
 
+@pytest.mark.parametrize("noise", [[], ["--shots", 64]], ids=["noiseless", "shots"])
+def test_train_byte_identical_reruns(tmp_path, noise):
+    assert run_cli("datagen", "--dimension", 2, "--size", 20, "--seed", 5,
+                   "--out-dir", tmp_path) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        rc = run_cli("train", "--dataset", tmp_path / "dataset.json", "--qubits", 2,
+                     "--layers", 2, "--max-iters", 2, *noise,
+                     "--out-dir", out, "--output", "trained.json")
+        assert rc == 0
+    assert (a / "trained.json").read_bytes() == (b / "trained.json").read_bytes()
+
+
 def test_surrogate_rff_byte_identical_reruns(tmp_path):
     assert run_cli("datagen", "--dimension", 2, "--size", 20,
                    "--out-dir", tmp_path) == 0

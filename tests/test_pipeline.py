@@ -41,7 +41,8 @@ from fourier_surrogates import (
     surrogate_rff,
     train,
 )
-from fourier_surrogates import pipeline
+from fourier_surrogates import pipeline, simulator
+from fourier_surrogates.simulator import mse_gradient
 
 # ---------------------------------------------------------------------------
 # memory estimator
@@ -309,6 +310,169 @@ def test_parameter_shift_matches_finite_differences():
         g_minus = expectation_batch(config, ParameterSet(shifted.reshape(shape)), [x])[0]
         fd_grad = (g_plus - g_minus) / (2 * h)
         assert abs(shift_grad - fd_grad) <= 1e-6
+
+
+def _shift_gradient(config, params, X, y):
+    """Predictions and the MSE gradient by the parameter-shift rule, 2P+1 passes."""
+    preds = expectation_batch(config, params, X)
+    flat = params.angles.reshape(-1)
+    grad = np.zeros_like(flat)
+    for j in range(flat.size):
+        shifted = flat.copy()
+        shifted[j] += np.pi / 2
+        f_plus = expectation_batch(config, ParameterSet(shifted.reshape(params.angles.shape)), X)
+        shifted[j] -= np.pi
+        f_minus = expectation_batch(config, ParameterSet(shifted.reshape(params.angles.shape)), X)
+        grad[j] = np.mean(2.0 * (preds - y) * (f_plus - f_minus) / 2.0)
+    return preds, grad.reshape(params.angles.shape)
+
+
+def _assert_adjoint_matches_shift(config, params, X, y):
+    preds, grad = mse_gradient(config, params, X, y)
+    shift_preds, shift_grad = _shift_gradient(config, params, X, y)
+    np.testing.assert_array_equal(preds, shift_preds)
+    assert grad.shape == params.angles.shape
+    np.testing.assert_allclose(grad, shift_grad, rtol=0, atol=1e-10)
+
+
+def _random_data(config, rows, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 2 * np.pi, size=(rows, config.d_features))
+    return X, rng.uniform(-1, 1, size=rows)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CircuitConfig(n_qubits=3, n_layers=1),
+        CircuitConfig(n_qubits=3, n_layers=2),
+        CircuitConfig(n_qubits=3, n_layers=3),
+        CircuitConfig(n_qubits=4, n_layers=2, coupling_map=((3, 2), (2, 1), (1, 0))),
+        CircuitConfig(n_qubits=4, n_layers=2, coupling_map=((0, 2), (3, 1), (1, 3))),
+        CircuitConfig(n_qubits=4, n_layers=2, d_features=2, feature_assignment=(1, 1, 0, 1)),
+    ],
+    ids=["chain-1L", "chain-2L", "chain-3L", "reversed", "non-adjacent", "d2-assigned"],
+)
+def test_adjoint_gradient_matches_parameter_shift(config):
+    for seed in range(2):
+        X, y = _random_data(config, rows=9, seed=seed)
+        _assert_adjoint_matches_shift(config, ParameterSet.random(config, seed=seed), X, y)
+
+
+def test_adjoint_gradient_reaches_zero_angles():
+    config = CircuitConfig(n_qubits=3, n_layers=2, coupling_map=((2, 0), (0, 1)))
+    X, y = _random_data(config, rows=11, seed=7)
+    angles = ParameterSet.random(config, seed=7).angles
+    angles[0, 0, 0] = angles[1, 2, 1] = angles[2, 1, 2] = 0.0
+    angles[1, 0] = 0.0
+    _assert_adjoint_matches_shift(config, ParameterSet(angles), X, y)
+    _assert_adjoint_matches_shift(config, ParameterSet.zeros(config), X, y)
+
+
+@st.composite
+def _small_circuit(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, n))
+    spare = draw(st.lists(st.integers(0, d - 1), min_size=n - d, max_size=n - d))
+    assignment = draw(st.permutations(list(range(d)) + spare))
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    coupling = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    config = CircuitConfig(
+        n_qubits=n, n_layers=draw(st.integers(1, 3)), d_features=d,
+        coupling_map=tuple(coupling), feature_assignment=tuple(assignment),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    angles = ParameterSet.random(config, seed=seed).angles
+    angles[np.random.default_rng(seed).random(angles.shape) < 0.2] = 0.0
+    X, y = _random_data(config, rows=draw(st.integers(1, 30)), seed=seed)
+    return config, ParameterSet(angles), X, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_circuit())
+def test_adjoint_gradient_matches_parameter_shift_on_drawn_circuits(case):
+    _assert_adjoint_matches_shift(*case)
+
+
+def test_noiseless_training_matches_parameter_shift_descent():
+    config = CircuitConfig(n_qubits=3, n_layers=2, coupling_map=((0, 2), (2, 1)))
+    X, y = _random_data(config, rows=15, seed=3)
+    init = ParameterSet.random(config, seed=3)
+    params, history = train(
+        config, Dataset(X=X, y=y), TrainConfig(learning_rate=0.3, max_iters=3), init=init
+    )
+    angles = init.angles.copy()
+    shift_history = []
+    for _ in range(3):
+        preds, grad = _shift_gradient(config, ParameterSet(angles), X, y)
+        shift_history.append(float(np.mean((preds - y) ** 2)))
+        angles = angles - 0.3 * grad
+    final = expectation_batch(config, ParameterSet(angles), X)
+    shift_history.append(float(np.mean((final - y) ** 2)))
+    np.testing.assert_allclose(params.angles, angles, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(history, shift_history, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("config", [CircuitConfig(3, 2), CircuitConfig(4, 3)], ids=["P27", "P48"])
+def test_noiseless_training_costs_a_few_forward_passes(monkeypatch, config):
+    """One iteration applies at most 6 forward passes' gates, whatever P is."""
+    gates = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            gates.append(kernel.__name__)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("_rotate_batch", "_cnot_batch"):
+        monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
+    X, y = _random_data(config, rows=5, seed=0)
+    init = ParameterSet.random(config, seed=0)
+    expectation_batch(config, init, X)
+    forward = len(gates)
+    gates.clear()
+    train(config, Dataset(X=X, y=y), TrainConfig(max_iters=1), init=init)
+    assert 0 < len(gates) <= 6 * forward
+
+
+def _shots_case():
+    config = CircuitConfig(n_qubits=3, n_layers=2)
+    X = np.random.default_rng(21).uniform(0, 2 * np.pi, size=(12, 3))
+    y = 0.8 * np.cos(X[:, 0]) * np.sin(X[:, 1] - X[:, 2])
+    return config, Dataset(X=X, y=y)
+
+
+def test_shots_training_is_unchanged():
+    """Shots training keeps parameter-shift: the recorded run, bit for bit."""
+    config, ds = _shots_case()
+    params, history = train(config, ds, TrainConfig(shots=256, max_iters=2))
+    assert history == [0.19335248595696006, 0.18544437035647865, 0.1687308739086709]
+    assert params.angles.reshape(-1).tolist() == [
+        4.0107016197189775, 1.696815418481997, 0.24827022414241168,
+        0.10576362404805506, 5.127218433245488, 5.740327211570802,
+        3.7991934039858757, 4.585336590199684, 3.4040324768575054,
+        5.864733924385486, 5.116948970634222, 0.00946521793587414,
+        5.376026070701326, 0.21484599212606256, 4.580126815465139,
+        1.09918201062869, 5.41659966526056, 3.387406069700997,
+        1.915282362445886, 2.672866080711612, 0.17493164211891948,
+        0.7797170359165637, 4.209977724707868, 4.066080587378857,
+        3.855050842925005, 2.395349692940265, 6.265649125023958,
+    ]
+
+
+def test_shots_iteration_makes_2p_plus_1_sampled_evaluations(monkeypatch):
+    seeds = []
+
+    def counting(config, params, X, noise=None):
+        seeds.append(noise.seed)
+        return expectation_batch(config, params, X, noise)
+
+    monkeypatch.setattr(pipeline, "expectation_batch", counting)
+    config, ds = _shots_case()
+    train(config, ds, TrainConfig(shots=256, max_iters=2))
+    n_angles = 3 * 3 * 3
+    assert len(seeds) == 1 + 2 * (2 * n_angles + 1)
+    assert seeds == list(range(seeds[0], seeds[0] + len(seeds)))
 
 
 # ---------------------------------------------------------------------------
