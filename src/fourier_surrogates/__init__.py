@@ -5,156 +5,27 @@ truncated Fourier series (either via exact full-grid recovery or via
 sampled random Fourier features fitted on training data), and quantifies
 the accuracy/resource trade-off with memory estimates, feature-count
 bounds, and scaling sweeps.
+
+Each module's ``__all__`` is the one declaration of its public names;
+the package re-exports them all.
 """
 
 __version__ = "0.1.0"
 
-from .datasets import (
-    Dataset,
-    dbscan,
-    load_csv,
-    load_dataset,
-    normalize,
-    pca,
-    replay,
-    rescale_targets,
-    save_dataset,
-    synth_generate,
-    train_test_split,
-)
-from .errors import CapExceeded, DomainTooSmall, InputFormatError, InsufficientSpectrum
-from .experiments import SweepReport, linear_fit, showcase, sweep, sweep_to_csv
-from .pipeline import (
-    DEFAULT_CAP,
-    TIER_LIMITS,
-    BoundParams,
-    ResourceEstimate,
-    TrainConfig,
-    bound_alpha_epsilon,
-    bound_beta_d,
-    bound_lrr_features,
-    bound_min_features,
-    empirical_kernel_sup,
-    estimate_memory,
-    fingerprint_of,
-    kernel_error_probability,
-    lattice_kernel,
-    sigma_p_of,
-    surrogate_exact,
-    surrogate_rff,
-    train,
-)
-from .simulator import (
-    CircuitConfig,
-    NoiseConfig,
-    ParameterSet,
-    apply_cnot,
-    apply_rotation,
-    expectation,
-    expectation_batch,
-    run_circuit,
-    run_circuit_batch,
-    sample_bitstrings,
-)
-from .spectrum import (
-    Grid,
-    SpectrumDescriptor,
-    canonical_count,
-    canonicalize,
-    enumerate_canonical,
-    full_grid,
-    lattice_size,
-    omega_max_of,
-    sample_distinct,
-)
-from .surrogate import (
-    DEFAULT_RCOND,
-    DesignMatrix,
-    SurrogateModel,
-    build_complex_design,
-    build_real_design,
-    complex_fit_to_real,
-    evaluate_terms,
-    fit,
-    load_model,
-    mse,
-    predict,
-    predict_batch,
-    save_model,
-    sup_error,
-)
+from . import datasets, errors, experiments, pipeline, simulator, spectrum, surrogate
+from .datasets import *
+from .errors import *
+from .experiments import *
+from .pipeline import *
+from .simulator import *
+from .spectrum import *
+from .surrogate import *
 
-__all__ = [
-    "__version__",
-    "CapExceeded",
-    "DomainTooSmall",
-    "InputFormatError",
-    "InsufficientSpectrum",
-    "CircuitConfig",
-    "ParameterSet",
-    "NoiseConfig",
-    "apply_rotation",
-    "apply_cnot",
-    "run_circuit",
-    "run_circuit_batch",
-    "expectation",
-    "expectation_batch",
-    "sample_bitstrings",
-    "SpectrumDescriptor",
-    "Grid",
-    "omega_max_of",
-    "lattice_size",
-    "canonical_count",
-    "canonicalize",
-    "enumerate_canonical",
-    "sample_distinct",
-    "full_grid",
-    "DEFAULT_RCOND",
-    "DesignMatrix",
-    "SurrogateModel",
-    "build_complex_design",
-    "build_real_design",
-    "complex_fit_to_real",
-    "evaluate_terms",
-    "fit",
-    "predict",
-    "predict_batch",
-    "mse",
-    "sup_error",
-    "save_model",
-    "load_model",
-    "Dataset",
-    "load_csv",
-    "normalize",
-    "rescale_targets",
-    "pca",
-    "dbscan",
-    "synth_generate",
-    "train_test_split",
-    "replay",
-    "save_dataset",
-    "load_dataset",
-    "DEFAULT_CAP",
-    "TIER_LIMITS",
-    "ResourceEstimate",
-    "BoundParams",
-    "TrainConfig",
-    "fingerprint_of",
-    "surrogate_exact",
-    "surrogate_rff",
-    "train",
-    "estimate_memory",
-    "bound_beta_d",
-    "bound_alpha_epsilon",
-    "bound_min_features",
-    "bound_lrr_features",
-    "kernel_error_probability",
-    "lattice_kernel",
-    "empirical_kernel_sup",
-    "sigma_p_of",
-    "SweepReport",
-    "linear_fit",
-    "sweep",
-    "sweep_to_csv",
-    "showcase",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += simulator.__all__
+__all__ += spectrum.__all__
+__all__ += surrogate.__all__
+__all__ += datasets.__all__
+__all__ += pipeline.__all__
+__all__ += experiments.__all__

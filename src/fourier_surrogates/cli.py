@@ -37,7 +37,6 @@ from .datasets import (
     normalize,
     pca,
     rescale_targets,
-    save_dataset,
     synth_generate,
     train_test_split,
 )

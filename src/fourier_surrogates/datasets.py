@@ -30,7 +30,6 @@ __all__ = [
     "synth_generate",
     "train_test_split",
     "replay",
-    "save_dataset",
     "load_dataset",
 ]
 
@@ -241,7 +240,9 @@ def dbscan(ds: Dataset, eps: float, min_pts: int) -> tuple[np.ndarray, Dataset]:
     within Euclidean distance eps. Clusters are the connected components
     of core points together with their border points; a border point
     reachable from several clusters goes to the first cluster discovered
-    in row order. Noise rows are removed from the returned dataset.
+    in row order. Noise rows are removed from the returned dataset; when
+    every row is noise, ValueError is raised instead, since an empty
+    dataset has no rows to train on and no feature count in its JSON.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -269,6 +270,8 @@ def dbscan(ds: Dataset, eps: float, min_pts: int) -> tuple[np.ndarray, Dataset]:
                         queue.append(m)
         cluster += 1
     kept = np.flatnonzero(labels >= 0)
+    if len(kept) == 0:
+        raise ValueError(f"dbscan with eps={eps}, min_pts={min_pts} marks every row as noise")
     entry = {
         "op": "dbscan",
         "eps": float(eps),
@@ -408,12 +411,6 @@ def replay(raw: Dataset, provenance) -> Dataset:
             raise ValueError(f"unknown provenance op {op!r}")
         applied.append(entry)
     return Dataset(X=X, y=y, provenance=tuple(applied))
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ds.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_dataset(path) -> Dataset:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["CapExceeded", "DomainTooSmall", "InputFormatError", "InsufficientSpectrum"]
+
 
 class CapExceeded(Exception):
     """A frequency lattice or sampling grid is too large to materialize.

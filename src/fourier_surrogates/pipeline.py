@@ -59,7 +59,6 @@ from .surrogate import build_complex_design, complex_fit_to_real  # noqa: F401
 
 __all__ = [
     "DEFAULT_CAP",
-    "EXACT_CHUNK_ROWS",
     "TIER_LIMITS",
     "ResourceEstimate",
     "BoundParams",
@@ -367,8 +366,7 @@ class BoundParams:
     """Inputs to the feature-count bounds.
 
     ``ell`` defaults to 2*pi*sqrt(d), the diameter of [0, 2*pi)^d.
-    ``lam`` is the ridge strength for the depth-aware bound; it may also
-    be given as per-sample ``lam0`` (then lam = m_train * lam0).
+    ``lam`` is the ridge strength for the depth-aware bound.
     ``c1``/``c2`` are placeholder constants (the depth-aware bound is an
     order-of-magnitude statement, not a sharp count).
     """
@@ -379,8 +377,6 @@ class BoundParams:
     sigma_p: float
     ell: float | None = None
     lam: float | None = None
-    lam0: float | None = None
-    m_train: int | None = None
     c1: float = 1.0
     c2: float = 1.0
     n_layers: int = 1
@@ -399,14 +395,6 @@ class BoundParams:
             object.__setattr__(self, "ell", 2.0 * math.pi * math.sqrt(self.d))
         if self.ell <= 0:
             raise ValueError("ell must be positive")
-
-    @property
-    def effective_lambda(self) -> float:
-        if self.lam is not None:
-            return float(self.lam)
-        if self.lam0 is not None and self.m_train is not None:
-            return float(self.m_train * self.lam0)
-        raise ValueError("lam (or lam0 with m_train) is required for this bound")
 
 
 def bound_beta_d(d: int) -> float:
@@ -467,7 +455,9 @@ def bound_lrr_features(p: BoundParams) -> int:
     + log(c2 (1+lam)/lam^2 - log delta)) with user-supplied constants.
     Order-of-magnitude only; c1 = c2 = 1 are placeholders.
     """
-    lam = p.effective_lambda
+    if p.lam is None:
+        raise ValueError("lam is required for this bound")
+    lam = float(p.lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if p.c1 <= 0 or p.c2 <= 0:

@@ -21,17 +21,18 @@ state index, so for two qubits the basis order is |00>, |01>, |10>,
 |11> and bitstring labels read qubit 0 first.
 
 All functions are pure; randomness enters only through explicit seeds.
-Batched variants evaluate many input vectors in one vectorized pass and
-are the preferred entry points for grid or dataset sampling.
-``mse_gradient`` gives exact predictions together with the gradient of
-their mean squared error in the angles, by the adjoint method; it and
-``run_circuit_batch`` walk the one gate list that ``_gates`` yields.
+The entry points are the batched functions, which evaluate many input
+vectors in one vectorized pass (grid or dataset sampling), and
+``run_circuit``/``expectation`` for a single input; there are no
+single-gate helpers. ``mse_gradient`` gives exact predictions together
+with the gradient of their mean squared error in the angles, by the
+adjoint method; it and ``run_circuit_batch`` walk the one gate list
+that ``_gates`` yields.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,8 +41,6 @@ __all__ = [
     "CircuitConfig",
     "ParameterSet",
     "NoiseConfig",
-    "apply_rotation",
-    "apply_cnot",
     "run_circuit",
     "run_circuit_batch",
     "expectation",
@@ -139,13 +138,6 @@ class CircuitConfig:
             feature_assignment=tuple(int(f) for f in doc["feature_assignment"]),
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "CircuitConfig":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -211,13 +203,9 @@ class NoiseConfig:
 
 
 # ---------------------------------------------------------------------------
-# gate application on batched states, shape (batch, 2**n)
+# gate application on batched states, shape (batch, 2**n); gates come
+# only from ``_gates``, whose qubits ``CircuitConfig`` has validated
 # ---------------------------------------------------------------------------
-
-
-def _check_qubit(qubit: int, n: int) -> None:
-    if not (0 <= qubit < n):
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
 
 
 def _rotate_batch(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarray:
@@ -227,9 +215,6 @@ def _rotate_batch(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarr
     """
     batch, dim = states.shape
     n = dim.bit_length() - 1
-    _check_qubit(qubit, n)
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     theta = np.asarray(angles, dtype=float)
     half = theta / 2.0
     # broadcast per-row angles against the (batch, 2, ..., 2) slices
@@ -257,10 +242,6 @@ def _rotate_batch(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarr
 def _cnot_batch(states: np.ndarray, control: int, target: int) -> np.ndarray:
     batch, dim = states.shape
     n = dim.bit_length() - 1
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise ValueError("control and target must differ")
     arr = states.reshape((batch,) + (2,) * n).copy()
     i10 = [slice(None)] * (n + 1)
     i10[1 + control] = 1
@@ -270,17 +251,6 @@ def _cnot_batch(states: np.ndarray, control: int, target: int) -> np.ndarray:
     i10, i11 = tuple(i10), tuple(i11)
     arr[i10], arr[i11] = arr[i11].copy(), arr[i10].copy()
     return arr.reshape(batch, dim)
-
-
-def apply_rotation(state: np.ndarray, qubit: int, axis: str, angle: float) -> np.ndarray:
-    """Rotate one qubit of a single statevector; returns a new state."""
-    state = np.asarray(state, dtype=complex)
-    return _rotate_batch(state.reshape(1, -1), qubit, axis, float(angle))[0]
-
-def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Apply CNOT to a single statevector; returns a new state."""
-    state = np.asarray(state, dtype=complex)
-    return _cnot_batch(state.reshape(1, -1), control, target)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .spectrum import FrequencyVector, canonicalize
 
 __all__ = [
+    "DEFAULT_RCOND",
     "DesignMatrix",
     "SurrogateModel",
     "build_complex_design",
@@ -35,10 +36,8 @@ __all__ = [
     "fit",
     "complex_fit_to_real",
     "evaluate_terms",
-    "predict",
     "predict_batch",
     "mse",
-    "sup_error",
     "save_model",
     "load_model",
 ]
@@ -144,10 +143,11 @@ def fit(
 class SurrogateModel:
     """Fitted real Fourier surrogate.
 
-    ``frequencies`` are canonical vectors; ``cos_coeffs``/``sin_coeffs``
-    hold (a_w, b_w) in matching order.  ``mode`` records which
-    surrogation route produced the model ("exact" or "rff");
-    ``fingerprint`` ties it to the source circuit.
+    ``frequencies`` are canonical vectors of ``d`` Python ints, and
+    ``omega_max`` has ``d`` entries; ``cos_coeffs``/``sin_coeffs`` hold
+    (a_w, b_w) in matching order.  ``mode`` records which surrogation
+    route produced the model ("exact" or "rff"); ``fingerprint`` ties it
+    to the source circuit.
     """
 
     d: int
@@ -167,7 +167,12 @@ class SurrogateModel:
             raise ValueError("one (a, b) pair is required per frequency")
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
-        object.__setattr__(self, "frequencies", tuple(tuple(f) for f in self.frequencies))
+        freqs = tuple(tuple(f) for f in self.frequencies)
+        if len(self.omega_max) != self.d:
+            raise ValueError(f"omega_max has {len(self.omega_max)} entries, model d={self.d}")
+        if {len(f) for f in freqs} - {self.d} or {type(v) for f in freqs for v in f} - {int}:
+            raise ValueError(f"every frequency must be {self.d} ints")
+        object.__setattr__(self, "frequencies", freqs)
         if self.mode not in ("exact", "rff"):
             raise ValueError("mode must be 'exact' or 'rff'")
 
@@ -272,29 +277,12 @@ def predict_batch(model: SurrogateModel, X: np.ndarray) -> np.ndarray:
     )
 
 
-def predict(model: SurrogateModel, x: np.ndarray) -> float:
-    """Surrogate prediction for a single input vector."""
-    return float(predict_batch(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 def mse(model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of the surrogate against targets y over X."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("empty evaluation set")
     return float(np.mean((predict_batch(model, X) - y) ** 2))
-
-
-def sup_error(
-    model: SurrogateModel, oracle: Callable[[np.ndarray], float], X: np.ndarray
-) -> float:
-    """Maximum absolute deviation from a reference function over X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValueError("empty evaluation set")
-    preds = predict_batch(model, X)
-    ref = np.array([oracle(x) for x in X], dtype=float)
-    return float(np.max(np.abs(preds - ref)))
 
 
 def save_model(model: SurrogateModel, path) -> None:

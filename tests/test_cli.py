@@ -338,6 +338,12 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert err["exit_code"] == 2
 
 
+_MODEL_D3 = (
+    '{"d": 3, "omega_max": [1, 1, 1], "intercept": 0.0, "mode": "rff", '
+    '"residual": 0.0, "terms": [%s]}'
+)
+
+
 @pytest.mark.parametrize(
     "argv,content",
     [
@@ -345,12 +351,21 @@ def test_missing_input_exits_2(tmp_path, capsys):
         (["eval", "--model", "{bad}", "--dataset", "{bad}"], '{"mode": "exact"}'),
         (["surrogate", "exact", "--circuit", "{bad}"], '{"config": {}}'),
         (["train", "--dataset", "{bad}", "--qubits", 1], "{not json"),
+        # a frequency with fewer entries than the model's d
+        (["eval", "--model", "{bad}", "--dataset", "{data}"],
+         _MODEL_D3 % '{"freq": [1, 0], "a": 0.5, "b": 0.0}'),
+        # ragged frequency lists
+        (["eval", "--model", "{bad}", "--dataset", "{data}"],
+         _MODEL_D3 % '{"freq": [1, 0, 0], "a": 0.5, "b": 0.0}, '
+                     '{"freq": [1, 0], "a": 0.5, "b": 0.0}'),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     bad = tmp_path / "bad.json"
     bad.write_text(content)
-    argv = [str(a).replace("{bad}", str(bad)) for a in argv]
+    data = tmp_path / "data.json"  # a well-formed 3-feature dataset
+    data.write_text('{"X": [[0.1, 0.2, 0.3]], "y": [0.0]}')
+    argv = [str(a).replace("{bad}", str(bad)).replace("{data}", str(data)) for a in argv]
     assert run_cli(*argv, "--out-dir", tmp_path) == 2
     err = last_stderr_json(capsys)
     assert err["error"] == "InputFormatError"

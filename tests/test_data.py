@@ -1,7 +1,12 @@
 """Dataset loading, preprocessing transforms, synthesis, and replay."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourier_surrogates import (
     Dataset,
@@ -14,10 +19,10 @@ from fourier_surrogates import (
     pca,
     replay,
     rescale_targets,
-    save_dataset,
     synth_generate,
     train_test_split,
 )
+from fourier_surrogates.cli import _write_json
 
 # ---------------------------------------------------------------------------
 # container
@@ -232,6 +237,12 @@ def test_dbscan_validation():
         dbscan(ds, eps=1.0, min_pts=0)
 
 
+def test_dbscan_refuses_to_remove_every_row():
+    ds = Dataset(X=[[0.0], [1.0], [2.0]], y=np.zeros(3))
+    with pytest.raises(ValueError, match="every row as noise"):
+        dbscan(ds, eps=0.5, min_pts=2)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_dbscan_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
@@ -322,11 +333,67 @@ def test_replay_reproduces_chain_bit_for_bit(tmp_path):
 
     # survives a disk round trip of the processed artifact
     path = tmp_path / "train.json"
-    save_dataset(train_ds, path)
+    path.write_text(json.dumps(train_ds.to_json_dict()))
     loaded = load_dataset(path)
     replayed = replay(raw, loaded.provenance)
     np.testing.assert_array_equal(replayed.X, loaded.X)
     np.testing.assert_array_equal(replayed.y, loaded.y)
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.just(("normalize",)),
+        st.tuples(st.just("pca"), st.integers(1, 3)),
+        st.tuples(st.just("dbscan"), st.floats(0.05, 1.5), st.integers(1, 4)),
+        st.just(("rescale_targets",)),
+        st.tuples(st.just("split"), st.floats(0.2, 0.8), st.integers(0, 2**16), st.booleans()),
+    ),
+    max_size=6,
+)
+
+
+def _apply_step(ds: Dataset, step) -> Dataset:
+    op = step[0]
+    if op == "normalize":
+        return normalize(ds)
+    if op == "pca":
+        return pca(ds, k=min(step[1], ds.n_features))
+    if op == "dbscan":
+        try:
+            return dbscan(ds, eps=step[1], min_pts=step[2])[1]
+        except ValueError as exc:  # the step would leave no row
+            assert "every row as noise" in str(exc)
+            return ds
+    if op == "rescale_targets":
+        return rescale_targets(ds)
+    train_ds, test_ds = train_test_split(ds, step[1], seed=step[2])
+    return train_ds if step[3] else test_ds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3), size=st.integers(4, 40), seed=st.integers(0, 2**32 - 1), steps=_STEPS
+)
+def test_replay_reproduces_drawn_chains_bit_for_bit(d, size, seed, steps):
+    raw = synth_generate(d=d, size=size, seed=seed, noise_sd=0.05)
+    ds = raw
+    for step in steps:
+        if ds.n_rows >= 4:  # enough rows for PCA and for a split with two non-empty sides
+            ds = _apply_step(ds, step)
+    again = replay(raw, ds.provenance)
+    np.testing.assert_array_equal(again.X, ds.X)
+    np.testing.assert_array_equal(again.y, ds.y)
+    assert again.provenance == ds.provenance
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "processed.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(ds.to_json_dict(), fh)
+        loaded = load_dataset(path)
+    replayed = replay(raw, loaded.provenance)
+    np.testing.assert_array_equal(replayed.X, ds.X)
+    np.testing.assert_array_equal(replayed.y, ds.y)
+    np.testing.assert_array_equal(loaded.X, ds.X)
 
 
 def test_replay_rejects_unknown_ops():
@@ -338,7 +405,7 @@ def test_replay_rejects_unknown_ops():
 def test_save_load_round_trip(tmp_path):
     ds = synth_generate(d=2, size=10, seed=3, noise_sd=0.01)
     path = tmp_path / "ds.json"
-    save_dataset(ds, path)
+    _write_json(path, ds.to_json_dict())  # how the CLI writes datasets
     text = path.read_text()
     assert text.endswith("\n")
     again = load_dataset(path)

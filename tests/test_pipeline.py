@@ -22,6 +22,7 @@ from fourier_surrogates import (
     bound_lrr_features,
     bound_min_features,
     build_complex_design,
+    canonical_count,
     complex_fit_to_real,
     empirical_kernel_sup,
     enumerate_canonical,
@@ -184,6 +185,35 @@ def test_rff_equals_exact_in_the_full_limit():
     assert rff.mode == "rff"
     X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(100, 2))
     np.testing.assert_allclose(predict_batch(rff, X), predict_batch(exact, X), atol=1e-8)
+
+
+@st.composite
+def _full_limit_circuit(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, n))
+    spare = draw(st.lists(st.integers(0, d - 1), min_size=n - d, max_size=n - d))
+    assignment = draw(st.permutations(list(range(d)) + spare))
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    coupling = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    config = CircuitConfig(
+        n_qubits=n, n_layers=draw(st.integers(1, 2)), d_features=d,
+        coupling_map=tuple(coupling), feature_assignment=tuple(assignment),
+    )
+    return config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_full_limit_circuit())
+def test_rff_equals_exact_in_the_full_limit_on_drawn_circuits(case):
+    config, seed = case
+    params = ParameterSet.random(config, seed=seed)
+    desc = omega_max_of(config)
+    exact = surrogate_exact(config, params)
+    rff = surrogate_rff(
+        config, params, full_grid(desc).points, D=canonical_count(desc), seed=seed
+    )
+    X = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(50, config.d_features))
+    np.testing.assert_allclose(predict_batch(rff, X), predict_batch(exact, X), rtol=0, atol=1e-8)
 
 
 def test_rff_is_deterministic_and_validated():
@@ -573,12 +603,6 @@ def test_lrr_features_shape():
     small = bound_lrr_features(BoundParams(d=4, **{**base, "lam": 0.1}))
     large = bound_lrr_features(BoundParams(d=4, **{**base, "lam": 10.0}))
     assert small > D4 > large
-    # lam0 * m_train path equals explicit lam
-    via_lam0 = bound_lrr_features(
-        BoundParams(d=4, epsilon=0.1, delta=0.05, sigma_p=1.0, lam0=0.002,
-                    m_train=500, n_layers=2, domain_size=500)
-    )
-    assert via_lam0 == D4
 
 
 def test_bound_params_validation():
@@ -592,8 +616,8 @@ def test_bound_params_validation():
         BoundParams(d=1, epsilon=0.1, delta=0.5, sigma_p=-1.0)
     p = BoundParams(d=4, epsilon=0.1, delta=0.5, sigma_p=1.0)
     assert abs(p.ell - 2 * math.pi * 2.0) <= 1e-15
-    with pytest.raises(ValueError):
-        _ = p.effective_lambda
+    with pytest.raises(ValueError, match="lam is required"):
+        bound_lrr_features(p)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourier_surrogates import (
     CircuitConfig,
@@ -19,10 +22,8 @@ from fourier_surrogates import (
     full_grid,
     load_model,
     mse,
-    predict,
     predict_batch,
     save_model,
-    sup_error,
     surrogate_exact,
 )
 
@@ -215,7 +216,7 @@ def test_evaluate_terms_matches_manual_sum():
         - 0.25 * np.cos(x[0] - x[1])
         + 0.75 * np.sin(x[0] - x[1])
     )
-    np.testing.assert_allclose(predict(model, x), manual, atol=1e-15)
+    np.testing.assert_allclose(predict_batch(model, x)[0], manual, atol=1e-15)
     X = np.array([x, 2 * x])
     np.testing.assert_allclose(
         predict_batch(model, X),
@@ -236,6 +237,24 @@ def test_model_validation():
             d=1, omega_max=(1,), intercept=0.0, frequencies=((1,),),
             cos_coeffs=np.array([1.0]), sin_coeffs=np.array([0.0]),
             mode="other", residual=0.0,
+        )
+
+
+@pytest.mark.parametrize(
+    "omega_max,frequencies,match",
+    [
+        ((2,), ((1, 0),), "omega_max has 1 entries"),
+        ((2, 2), ((1,),), "every frequency must be 2 ints"),
+        ((2, 2), ((1, 0), (1, 0, 1)), "every frequency must be 2 ints"),
+        ((2, 2), ((1.0, 0),), "every frequency must be 2 ints"),
+    ],
+)
+def test_model_frequencies_have_d_integer_entries(omega_max, frequencies, match):
+    with pytest.raises(ValueError, match=match):
+        SurrogateModel(
+            d=2, omega_max=omega_max, intercept=0.0, frequencies=frequencies,
+            cos_coeffs=np.zeros(len(frequencies)), sin_coeffs=np.zeros(len(frequencies)),
+            mode="rff", residual=0.0,
         )
 
 
@@ -265,6 +284,40 @@ def test_model_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(predict_batch(again, X), predict_batch(model, X))
 
 
+@st.composite
+def _models(draw):
+    d = draw(st.integers(1, 4))
+    n_terms = draw(st.integers(0, 20))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    freq = st.tuples(*[st.integers(-6, 6)] * d)
+    return SurrogateModel(
+        d=d,
+        omega_max=draw(st.tuples(*[st.integers(0, 6)] * d)),
+        intercept=draw(finite),
+        frequencies=tuple(draw(st.lists(freq, min_size=n_terms, max_size=n_terms))),
+        cos_coeffs=np.array(draw(st.lists(finite, min_size=n_terms, max_size=n_terms))),
+        sin_coeffs=np.array(draw(st.lists(finite, min_size=n_terms, max_size=n_terms))),
+        mode=draw(st.sampled_from(["exact", "rff"])),
+        residual=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        fingerprint=draw(st.none() | st.text("0123456789abcdef", min_size=1, max_size=16)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models())
+def test_drawn_models_round_trip_through_disk(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        save_model(model, first)
+        again = load_model(first)
+        save_model(again, second)
+        assert second.read_bytes() == first.read_bytes()
+    for name in ("d", "omega_max", "intercept", "frequencies", "mode", "residual", "fingerprint"):
+        assert getattr(again, name) == getattr(model, name), name
+    np.testing.assert_array_equal(again.cos_coeffs, model.cos_coeffs)
+    np.testing.assert_array_equal(again.sin_coeffs, model.sin_coeffs)
+
+
 def test_exact_surrogate_round_trips_through_disk(tmp_path):
     config = CircuitConfig(n_qubits=2, n_layers=1)
     params = ParameterSet.random(config, seed=21)
@@ -276,12 +329,11 @@ def test_exact_surrogate_round_trips_through_disk(tmp_path):
     np.testing.assert_array_equal(predict_batch(again, X), predict_batch(model, X))
 
 
-def test_mse_and_sup_error():
+def test_mse():
     model = _toy_model()
     X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(30, 2))
     y = predict_batch(model, X)
     assert mse(model, X, y) == 0.0
-    assert sup_error(model, lambda x: predict(model, x), X) == 0.0
     shifted = y + 0.1
     np.testing.assert_allclose(mse(model, X, shifted), 0.01, atol=1e-15)
     with pytest.raises(ValueError):
