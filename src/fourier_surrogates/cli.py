@@ -302,8 +302,8 @@ def cmd_estimate(args) -> None:
     )
     est = estimate_memory(config, bytes_per_entry=args.bytes_per_entry)
     run.log(
-        f"lattice {est.lattice_size}, {est.design_matrix_bytes} bytes, "
-        f"tier {est.feasible_on}",
+        f"lattice {est.lattice_size}, dense design {est.design_matrix_bytes} bytes, "
+        f"tier {est.feasible_on}; exact route {est.exact_route_bytes} bytes",
         tier=est.feasible_on,
     )
     run.emit_json(args.output, est.to_json_dict())
@@ -465,10 +465,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("surrogate", help="build a classical surrogate")
     modes = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
-    m = modes.add_parser("exact", parents=[common], help="full grid and one FFT")
+    m = modes.add_parser("exact", parents=[common], help="coefficient walk, grid values and one FFT")
     _add_circuit_flags(m)
     m.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="largest lattice (grid rows simulated) accepted")
+                   help="largest lattice (grid values computed) accepted")
     m.add_argument("--output", default="model.json")
     m.set_defaults(func=cmd_surrogate)
     m = modes.add_parser("rff", parents=[common], help="sampled frequencies at given points")

@@ -2,15 +2,17 @@
 
 Two ways to turn a circuit into a surrogate:
 
-* ``surrogate_exact`` simulates the circuit on the full tensor grid, in
-  chunks of ``EXACT_CHUNK_ROWS`` rows, and takes one multidimensional
-  FFT of the grid values. With T_i = 2*omega_max(i) + 1 points per
-  feature the grid/lattice pairing is a scaled DFT, so every
-  coefficient is recovered exactly up to floating point. The cost is
-  one circuit evaluation per lattice vector, which explodes with
-  qubits; ``CapExceeded`` guards it. ``estimate_memory`` reports the
-  dense grid-by-lattice design accounting, which this route never
-  builds.
+* ``surrogate_exact`` runs the circuit once, on the Fourier coefficients
+  of its state (``simulator.state_coefficients``), and never simulates
+  a grid point. It evaluates the exact model on the tensor grid with
+  T_i = 2*omega_max(i) + 1 points per feature by inverse FFTs of those
+  coefficients, in blocks of basis states, and takes one
+  multidimensional FFT of the values. On that grid the grid/lattice
+  pairing is a scaled DFT, so every coefficient is recovered exactly up
+  to floating point. Memory grows with the lattice size times 2^n;
+  ``CapExceeded`` guards it. ``estimate_memory`` reports what this route
+  needs next to the dense grid-by-lattice design accounting, which the
+  route never builds.
 * ``surrogate_rff`` replaces the grid with a given set of input points
   (normally the training data) and the lattice with D frequency vectors
   sampled uniformly without replacement, then solves the real cos/sin
@@ -37,11 +39,18 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CapExceeded, DomainTooSmall
-from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch, mse_gradient
+from .simulator import (
+    CircuitConfig,
+    NoiseConfig,
+    ParameterSet,
+    _mean_z_diagonal,
+    expectation_batch,
+    mse_gradient,
+    state_coefficients,
+)
 from .spectrum import (
     SpectrumDescriptor,
     enumerate_canonical,
-    full_grid,
     lattice_size,
     omega_max_of,
     sample_distinct,
@@ -53,8 +62,9 @@ from .surrogate import (
     fit,
 )
 
-# not called here; the benchmark tracer (perfbench/tracer.py) wraps both
+# not called here; the benchmark tracer (perfbench/tracer.py) wraps these
 # as pipeline attributes, so they stay importable from this module
+from .spectrum import full_grid  # noqa: F401
 from .surrogate import build_complex_design, complex_fit_to_real  # noqa: F401
 
 __all__ = [
@@ -79,12 +89,12 @@ __all__ = [
 ]
 
 #: default ceiling on lattice size for the exact route; it bounds the grid
-#: rows simulated, one circuit evaluation per lattice vector
+#: values computed, one per lattice vector
 DEFAULT_CAP = 10_000
 
-#: grid rows per simulator call on the exact route, so its statevectors
-#: never take more than EXACT_CHUNK_ROWS x 2^n amplitudes at once
-EXACT_CHUNK_ROWS = 4096
+#: the exact route's inverse FFTs take blocks of basis states that hold at
+#: most EXACT_BLOCK_ROWS x 2^n amplitudes, as that many statevectors would
+EXACT_BLOCK_ROWS = 4096
 
 #: hardware-tier ceilings in bytes for classifying design-matrix storage
 TIER_LIMITS = (
@@ -100,8 +110,21 @@ _ESTIMATE_NOTE = (
     "workstation tier ends at 8, so a 13-qubit, 2-layer circuit lands on "
     "'infeasible' here. Sizing conventions that place double-digit qubit "
     "counts inside these tiers assume sparser storage or different overheads "
-    "than this formula models."
+    "than this formula models. surrogate_exact builds no design matrix; "
+    "exact_route_bytes is what it holds: the state's coefficient tensor "
+    "(prod(omega_max(i) + 1) x 2^n complex entries) with the copies a gate "
+    "makes of it, the grid values and their FFT, and one inverse-FFT block. "
+    "For 8 qubits at 2 layers that is about 130 MB, against 2.4 TB dense."
 )
+
+#: while a gate runs on the coefficient tensor it holds the tensor, its two
+#: halves on the gate's qubit and the result: four tensors' worth of bytes
+_GATE_TENSOR_COPIES = 4
+
+
+def _block_states(dim: int, size: int) -> int:
+    """Basis states, of ``dim``, per inverse FFT of the exact route at lattice ``size``."""
+    return min(dim, max(1, EXACT_BLOCK_ROWS * dim // size))
 
 
 def fingerprint_of(config: CircuitConfig, params: ParameterSet) -> str:
@@ -115,12 +138,18 @@ def fingerprint_of(config: CircuitConfig, params: ParameterSet) -> str:
 
 @dataclass(frozen=True)
 class ResourceEstimate:
-    """Dense design-matrix footprint of the exact route for one circuit."""
+    """Memory of the exact route for one circuit: dense accounting and real need.
+
+    ``design_matrix_bytes`` and ``feasible_on`` are the paper's dense
+    grid-by-lattice accounting; ``exact_route_bytes`` is what
+    ``surrogate_exact`` actually holds.
+    """
 
     grid_size: int
     lattice_size: int
     design_matrix_bytes: int
     feasible_on: str
+    exact_route_bytes: int
     bytes_per_entry: int = 16
 
     def to_json_dict(self) -> dict:
@@ -130,23 +159,35 @@ class ResourceEstimate:
             "bytes_per_entry": self.bytes_per_entry,
             "design_matrix_bytes": self.design_matrix_bytes,
             "feasible_on": self.feasible_on,
+            "exact_route_bytes": self.exact_route_bytes,
             "tier_limits_bytes": {name: limit for name, limit in TIER_LIMITS},
             "note": _ESTIMATE_NOTE,
         }
 
 
 def estimate_memory(config: CircuitConfig, bytes_per_entry: int = 16) -> ResourceEstimate:
-    """Bytes needed to store the full grid-by-lattice design matrix.
+    """Bytes of the full grid-by-lattice design matrix, and of the exact route.
 
     Grid and lattice have the same cardinality (one grid point per
-    lattice vector and vice versa), so the byte count is lattice_size
-    squared times the entry width. Exact integer arithmetic throughout.
+    lattice vector and vice versa), so the design's byte count is
+    lattice_size squared times the entry width. The exact route's need
+    sums three terms at 16 bytes per complex entry, whatever
+    ``bytes_per_entry`` says: the coefficient tensor times
+    _GATE_TENSOR_COPIES, the grid values (8 bytes each) with their FFT,
+    and one inverse-FFT block. Exact integer arithmetic throughout.
     """
     if bytes_per_entry < 1:
         raise ValueError("bytes_per_entry must be positive")
     desc = omega_max_of(config)
     size = lattice_size(desc)
     n_bytes = size * size * int(bytes_per_entry)
+    coeff_rows = math.prod(w + 1 for w in desc.omega_max)
+    dim = 2**config.n_qubits
+    route_bytes = (
+        16 * _GATE_TENSOR_COPIES * coeff_rows * dim
+        + (8 + 16) * size
+        + 16 * _block_states(dim, size) * size
+    )
     tier = "infeasible"
     for name, limit in TIER_LIMITS:
         if n_bytes <= limit:
@@ -157,8 +198,26 @@ def estimate_memory(config: CircuitConfig, bytes_per_entry: int = 16) -> Resourc
         lattice_size=size,
         design_matrix_bytes=n_bytes,
         feasible_on=tier,
+        exact_route_bytes=route_bytes,
         bytes_per_entry=int(bytes_per_entry),
     )
+
+
+def _grid_values(coeffs: np.ndarray, T: tuple[int, ...], w: np.ndarray) -> np.ndarray:
+    """y = sum_b w_b |psi_b|^2 on the grid, psi_b the padded inverse FFT of C[..., b].
+
+    Blocks of basis states go through the inverse FFT in index order, each
+    at most EXACT_BLOCK_ROWS x 2^n amplitudes unless one state alone is
+    larger.
+    """
+    per_block = _block_states(len(w), math.prod(T))
+    y = np.zeros(T)
+    for start in range(0, len(w), per_block):
+        block = slice(start, start + per_block)
+        psi = np.fft.ifftn(coeffs[..., block], s=T, axes=range(len(T)), norm="forward")
+        y += np.abs(psi) ** 2 @ w[block]
+        del psi  # the next block's transform would otherwise run beside it
+    return y
 
 
 def surrogate_exact(
@@ -166,15 +225,21 @@ def surrogate_exact(
     params: ParameterSet,
     cap: int = DEFAULT_CAP,
 ) -> SurrogateModel:
-    """Exact surrogate from the full grid and one FFT.
+    """Exact surrogate from the state's Fourier coefficients and one FFT.
 
-    The circuit is simulated on the grid with T_i = 2*omega_max(i) + 1
-    points per feature, EXACT_CHUNK_ROWS rows at a time. Then
-    C = fftn(y) / N holds the coefficient of exp(+i w.x) at index
-    w mod T, so the intercept is Re C_0 and each canonical w gets
-    a_w = 2 Re C_w and b_w = -2 Im C_w. Frequencies come in the
+    ``state_coefficients`` gives the state as psi(x) = sum_k C[k]
+    exp(i k.x), from one walk of the gates. On the grid with
+    T_i = 2*omega_max(i) + 1 points per feature, psi_b is the unscaled
+    inverse FFT of C[..., b] zero-padded to T; this is exact, because
+    T_i exceeds omega_max(i) and |psi|^2 holds frequencies only up to
+    +-omega_max(i). ``_grid_values`` sums the model's grid values
+    y = sum_b w_b |psi_b|^2, w the mean-Z diagonal. Then F = fftn(y) / N holds the coefficient of exp(+i w.x) at index
+    w mod T, so the intercept is Re F_0 and each canonical w gets
+    a_w = 2 Re F_w and b_w = -2 Im F_w. Frequencies come in the
     lexicographic order of the box. ``residual`` is the 2-norm of the
-    series' error on the grid, computed by inverse FFT.
+    series' error on those grid values, by inverse FFT: since y is the
+    model itself, it measures the round-off of the FFTs and of taking
+    the real series, not a gap to a separate simulation.
 
     Raises CapExceeded (with the memory estimate attached) when the
     lattice is larger than ``cap``.
@@ -184,27 +249,23 @@ def surrogate_exact(
     size = lattice_size(desc)
     if size > cap:
         raise CapExceeded(size, cap, estimate=estimate_memory(config))
-    grid = full_grid(desc, cap=cap)
-    T = grid.per_feature_counts
-    y = np.concatenate([
-        expectation_batch(config, params, grid.points[start : start + EXACT_CHUNK_ROWS])
-        for start in range(0, size, EXACT_CHUNK_ROWS)
-    ]).reshape(T)
-    C = np.fft.fftn(y) / size
+    T = tuple(2 * w + 1 for w in desc.omega_max)
+    y = _grid_values(state_coefficients(config, params), T, _mean_z_diagonal(config.n_qubits))
+    F = np.fft.fftn(y) / size
     canonical = enumerate_canonical(desc, cap=cap)
     freqs = np.asarray(canonical)
     bins = tuple((freqs % T).T)
-    c = C[bins]
-    # the series' own spectrum is conjugate-symmetric with a real C_0
-    series = np.zeros_like(C)
+    c = F[bins]
+    # the series' own spectrum is conjugate-symmetric with a real F_0
+    series = np.zeros_like(F)
     series[bins] = c
     series[tuple((-freqs % T).T)] = np.conj(c)
-    series.flat[0] = C.flat[0].real
+    series.flat[0] = F.flat[0].real
     residual = float(np.linalg.norm(np.fft.ifftn(series).real * size - y))
     return SurrogateModel(
         d=desc.d,
         omega_max=desc.omega_max,
-        intercept=float(C.flat[0].real),
+        intercept=float(F.flat[0].real),
         frequencies=tuple(canonical),
         cos_coeffs=2.0 * c.real,
         sin_coeffs=-2.0 * c.imag,

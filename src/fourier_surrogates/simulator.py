@@ -26,8 +26,9 @@ vectors in one vectorized pass (grid or dataset sampling), and
 ``run_circuit``/``expectation`` for a single input; there are no
 single-gate helpers. ``mse_gradient`` gives exact predictions together
 with the gradient of their mean squared error in the angles, by the
-adjoint method; it and ``run_circuit_batch`` walk the one gate list
-that ``_gates`` yields.
+adjoint method. ``state_coefficients`` gives the state's Fourier
+coefficients in the inputs, for every input at once. All three walk the
+one gate list that ``_gates`` yields.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "NoiseConfig",
     "run_circuit",
     "run_circuit_batch",
+    "state_coefficients",
     "expectation",
     "expectation_batch",
     "sample_bitstrings",
@@ -362,6 +364,67 @@ def mse_gradient(
         psi = _apply_gate(psi, gate, params.angles, X, inverse=True)
         lam = _apply_gate(lam, gate, params.angles, X, inverse=True)
     return preds, grad
+
+
+def _encode_coefficients(coeffs: np.ndarray, qubit: int, feature: int) -> np.ndarray:
+    """Apply Rx(x_feature) on ``qubit`` to a coefficient tensor, dropping e^{-ix/2}.
+
+    The (I+X)/2 half of every row stays at its frequency and the (I-X)/2
+    half moves one step up along the feature's axis, which grows by one
+    to hold it. ``coeffs`` is spent: it is the scratch for the
+    (I-X)/2 half, so only it and the grown tensor are ever held.
+    """
+    d = coeffs.ndim - 1
+    grown_shape = list(coeffs.shape)
+    grown_shape[feature] += 1
+    grown = np.zeros(grown_shape, dtype=complex)
+    # the qubit's bit gets an axis of its own: (..., 2**qubit, 2, rest)
+    split = coeffs.shape[:d] + (1 << qubit, 2, -1)
+    old = coeffs.reshape(split)
+    new = grown.reshape(tuple(grown_shape[:d]) + split[d:])
+    keep = new[(slice(None),) * feature + (slice(None, -1),)]
+    shift = new[(slice(None),) * feature + (slice(1, None),)]
+    # (I+X)/2 sets both halves to their mean
+    np.add(old[..., 0, :], old[..., 1, :], out=keep[..., 0, :])
+    keep[..., 0, :] *= 0.5
+    keep[..., 1, :] = keep[..., 0, :]
+    # (I-X)/2 sets them to +-half their difference
+    diff = old[..., 0, :]
+    diff -= old[..., 1, :]
+    diff *= 0.5
+    shift[..., 0, :] += diff
+    shift[..., 1, :] -= diff
+    return grown
+
+
+def state_coefficients(config: CircuitConfig, params: ParameterSet) -> np.ndarray:
+    """Fourier coefficients C of the final state as a function of the inputs.
+
+    Rx(x) = e^{-ix/2} [(I+X)/2 + e^{ix} (I-X)/2], and the global phase
+    cancels in |psi|^2, so the state is the polynomial
+    psi(x) = sum_k C[k] exp(i k.x) with k_f in 0..L*g_f, where g_f
+    counts the qubits carrying feature f. Returns C with shape
+    (L*g_0 + 1, ..., L*g_{d-1} + 1, 2**n).
+
+    One walk of the gates that ``run_circuit_batch`` and
+    ``mse_gradient`` walk: trainable rotations and CNOTs act on the
+    coefficient rows as on a batch of states, and each encoding splits
+    every row into its (I+/-X)/2 halves (``_encode_coefficients``). The
+    tensor grows along a feature's axis at each of its encodings, so the
+    gates act only on the frequencies reached so far.
+    """
+    params.validate_for(config)
+    dim = 2**config.n_qubits
+    coeffs = np.zeros((1,) * config.d_features + (dim,), dtype=complex)
+    coeffs.flat[0] = 1.0
+    for gate in _gates(config):
+        kind, qubit, _, source = gate
+        if kind == "enc":
+            coeffs = _encode_coefficients(coeffs, qubit, source)
+        else:
+            rows = _apply_gate(coeffs.reshape(-1, dim), gate, params.angles, None)
+            coeffs = rows.reshape(coeffs.shape)
+    return coeffs
 
 
 def run_circuit(config: CircuitConfig, params: ParameterSet, x: np.ndarray) -> np.ndarray:

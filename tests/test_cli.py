@@ -189,6 +189,9 @@ def test_estimate_worked_example(tmp_path):
     assert doc["grid_size"] == 625
     assert doc["design_matrix_bytes"] == 6_250_000
     assert doc["feasible_on"] == "laptop"
+    # 4 x 81 x 16 coefficient entries, 625 grid values and their FFT, and
+    # one inverse-FFT block of all 16 basis states: 82 944 + 15 000 + 160 000
+    assert doc["exact_route_bytes"] == 257_944
     assert len(doc["tier_limits_bytes"]) == 3
     assert "infeasible" in doc["note"]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,22 +129,22 @@ def _dense_exact(config, params):
     return complex_fit_to_real(lattice, coeffs)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        CircuitConfig(n_qubits=1, n_layers=2),
-        CircuitConfig(n_qubits=3, n_layers=2),
-        # non-uniform omega_max: T = (5, 3)
-        CircuitConfig(n_qubits=3, n_layers=1, d_features=2, feature_assignment=(0, 0, 1)),
-        # T = (3, 5, 3) under a custom coupling map
-        CircuitConfig(
-            n_qubits=4, n_layers=1, d_features=3, feature_assignment=(0, 1, 1, 2),
-            coupling_map=((0, 3), (3, 1), (2, 1)),
-        ),
-        CircuitConfig(n_qubits=3, n_layers=2, coupling_map=((2, 0), (0, 1), (1, 2))),
-    ],
-    ids=["1q2L", "3q2L", "T53", "T353-coupling", "3q2L-coupling"],
-)
+_EXACT_ORACLE_CIRCUITS = [
+    CircuitConfig(n_qubits=1, n_layers=2),
+    CircuitConfig(n_qubits=3, n_layers=2),
+    # non-uniform omega_max: T = (5, 3)
+    CircuitConfig(n_qubits=3, n_layers=1, d_features=2, feature_assignment=(0, 0, 1)),
+    # T = (3, 5, 3) under a custom coupling map
+    CircuitConfig(
+        n_qubits=4, n_layers=1, d_features=3, feature_assignment=(0, 1, 1, 2),
+        coupling_map=((0, 3), (3, 1), (2, 1)),
+    ),
+    CircuitConfig(n_qubits=3, n_layers=2, coupling_map=((2, 0), (0, 1), (1, 2))),
+]
+_EXACT_ORACLE_IDS = ["1q2L", "3q2L", "T53", "T353-coupling", "3q2L-coupling"]
+
+
+@pytest.mark.parametrize("config", _EXACT_ORACLE_CIRCUITS, ids=_EXACT_ORACLE_IDS)
 def test_exact_fft_route_matches_dense_solve(config):
     for seed in range(3):
         params = ParameterSet.random(config, seed=seed)
@@ -156,23 +157,83 @@ def test_exact_fft_route_matches_dense_solve(config):
         assert model.residual <= 1e-12
 
 
-def test_exact_surrogate_simulates_the_grid_in_chunks(monkeypatch):
+def _grid_exact(config, params):
+    """The exact route by simulating every grid point: grid, expectation_batch, fftn."""
+    desc = omega_max_of(config)
+    grid = full_grid(desc)
+    T = grid.per_feature_counts
+    y = expectation_batch(config, params, grid.points).reshape(T)
+    F = np.fft.fftn(y) / y.size
+    canon = enumerate_canonical(desc, cap=y.size)
+    c = F[tuple((np.asarray(canon) % T).T)]
+    return float(F.flat[0].real), canon, 2.0 * c.real, -2.0 * c.imag
+
+
+def _assert_matches_grid_route(config, params):
+    model = surrogate_exact(config, params)
+    intercept, canon, a, b = _grid_exact(config, params)
+    assert model.frequencies == tuple(canon)
+    assert abs(model.intercept - intercept) <= 1e-12
+    np.testing.assert_allclose(model.cos_coeffs, a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.sin_coeffs, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config",
+    _EXACT_ORACLE_CIRCUITS + [
+        # d_features < n_qubits, feature 1 on three qubits, reversed coupling map
+        CircuitConfig(
+            n_qubits=4, n_layers=2, d_features=2, feature_assignment=(1, 0, 1, 1),
+            coupling_map=((3, 2), (2, 1), (1, 0)),
+        ),
+        CircuitConfig(n_qubits=4, n_layers=3),
+    ],
+    ids=_EXACT_ORACLE_IDS + ["d2-repeated-reversed", "4q3L"],
+)
+def test_exact_coefficient_route_matches_grid_simulation(config):
+    for seed in range(3):
+        _assert_matches_grid_route(config, ParameterSet.random(config, seed=seed))
+
+
+def test_exact_surrogate_simulates_no_grid_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact route simulated grid points")
+
+    monkeypatch.setattr(pipeline, "expectation_batch", refuse)
+    monkeypatch.setattr(simulator, "run_circuit_batch", refuse)
     config = CircuitConfig(n_qubits=6, n_layers=2)
     params = ParameterSet.random(config, seed=5)
-    rows = []
+    blocks = []
+    ifftn = np.fft.ifftn
 
-    def counting(config, params, X, noise=None):
-        rows.append(len(X))
-        return expectation_batch(config, params, X, noise)
+    def recording(a, *args, **kwargs):
+        out = ifftn(a, *args, **kwargs)
+        if out.ndim == config.d_features + 1:  # one block of basis states
+            blocks.append(out.shape[-1])
+        return out
 
-    monkeypatch.setattr(pipeline, "expectation_batch", counting)
+    monkeypatch.setattr(np.fft, "ifftn", recording)
     model = surrogate_exact(config, params, cap=5**6)
-    assert sum(rows) == 5**6
-    assert max(rows) == pipeline.EXACT_CHUNK_ROWS < 5**6
+    monkeypatch.undo()
+    assert sum(blocks) == 2**6 and len(blocks) > 1
+    assert max(blocks) * 5**6 <= 4096 * 2**6
     assert model.residual <= 1e-10
     X = np.random.default_rng(4).uniform(0, 2 * np.pi, size=(200, 6))
     truth = expectation_batch(config, params, X)
     np.testing.assert_allclose(predict_batch(model, X), truth, rtol=0, atol=1e-8)
+
+
+def test_exact_route_bytes_tracks_the_measured_peak():
+    config = CircuitConfig(n_qubits=6, n_layers=2)
+    params = ParameterSet.random(config, seed=5)
+    tracemalloc.start()
+    try:
+        surrogate_exact(config, params, cap=5**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = estimate_memory(config).exact_route_bytes
+    assert peak / 2 <= estimate <= 2 * peak
 
 
 def test_rff_equals_exact_in_the_full_limit():
@@ -422,6 +483,13 @@ def _small_circuit(draw):
 @given(_small_circuit())
 def test_adjoint_gradient_matches_parameter_shift_on_drawn_circuits(case):
     _assert_adjoint_matches_shift(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_circuit())
+def test_exact_coefficient_route_matches_grid_simulation_on_drawn_circuits(case):
+    config, params, _, _ = case
+    _assert_matches_grid_route(config, params)
 
 
 def test_noiseless_training_matches_parameter_shift_descent():

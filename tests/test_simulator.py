@@ -166,6 +166,32 @@ def test_circuit_with_custom_wiring_matches_oracle():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        CircuitConfig(n_qubits=1, n_layers=3),
+        CircuitConfig(n_qubits=3, n_layers=2),
+        CircuitConfig(
+            n_qubits=3, n_layers=2, d_features=2,
+            coupling_map=((2, 0), (0, 1)), feature_assignment=(1, 0, 1),
+        ),
+    ],
+    ids=["1q3L", "3q2L", "custom-wiring"],
+)
+def test_state_coefficients_give_the_oracle_state_up_to_the_encoding_phase(config):
+    params = ParameterSet.random(config, seed=13)
+    coeffs = simulator.state_coefficients(config, params)
+    g = np.bincount(config.feature_assignment, minlength=config.d_features)
+    assert coeffs.shape == tuple(config.n_layers * g + 1) + (2**config.n_qubits,)
+    k = np.stack(np.meshgrid(*(np.arange(s) for s in coeffs.shape[:-1]), indexing="ij"), -1)
+    rng = np.random.default_rng(17)
+    for x in rng.uniform(0, 2 * np.pi, size=(4, config.d_features)):
+        # each encoding drops the phase exp(-i x_f / 2)
+        phase = np.exp(-0.5j * config.n_layers * (g @ x))
+        got = phase * np.tensordot(np.exp(1j * (k @ x)), coeffs, axes=config.d_features)
+        np.testing.assert_allclose(got, oracle_state(config, params, x), atol=1e-12)
+
+
 def test_states_are_normalized():
     config = CircuitConfig(n_qubits=4, n_layers=2)
     params = ParameterSet.random(config, seed=3)
