@@ -130,14 +130,6 @@ class _Run:
         self.log(f"wrote {self.out_dir / name}", artifact=str(self.out_dir / name))
 
 
-def _noise_from(args) -> NoiseConfig | None:
-    if args.shots is None and args.depolarizing <= 0.0:
-        return None
-    return NoiseConfig(
-        shots=args.shots, depolarizing_p=args.depolarizing, seed=args.seed
-    )
-
-
 def _parse_file(parse, path: Path):
     """``parse(path)``, with malformed content reported as an InputFormatError
     naming the file (json.JSONDecodeError is a ValueError)."""
@@ -263,9 +255,10 @@ def cmd_surrogate(args) -> None:
         model = surrogate_exact(config, params, cap=args.cap)
     else:
         ds = _parse_file(load_dataset, Path(args.dataset))
+        noise = NoiseConfig(shots=args.shots, depolarizing_p=args.depolarizing, seed=args.seed)
         model = surrogate_rff(
             config, params, ds.X, D=args.frequencies,
-            seed=args.seed, noise=_noise_from(args), rcond=args.rcond,
+            seed=args.seed, noise=noise, rcond=args.rcond,
         )
     save_model(model, run.out_dir / args.output)
     run.emit_file(args.output)

@@ -1,10 +1,11 @@
 """Dataset containers, preprocessing transforms, and synthetic generators.
 
-Every transform is pure: it returns a new Dataset and appends one entry
-to the provenance list with the exact parameters it used (fitted
-minima/maxima, PCA components, kept row indices, split indices).
-``replay`` re-applies a provenance chain to the raw data with the stored
-parameters, which reproduces the processed arrays bit for bit.
+Every transform is pure: it fits its parameters (minima/maxima, PCA
+components, kept row indices, split indices), records them in one
+provenance entry, and gets its output by applying that entry through
+``_apply``, the only code that reads an entry's parameters. ``replay``
+runs the same ``_apply`` over a provenance chain from the raw data, so
+it reproduces the processed arrays bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class Dataset:
 
     def to_json_dict(self) -> dict:
         return {
-            "X": [[float(v) for v in row] for row in self.X],
-            "y": [float(v) for v in self.y],
+            "X": self.X.tolist(),
+            "y": self.y.tolist(),
             "provenance": list(self.provenance),
         }
 
@@ -75,7 +76,36 @@ class Dataset:
         )
 
 
-def _append(ds: Dataset, X: np.ndarray, y: np.ndarray, entry: dict) -> Dataset:
+def _min_max(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    span = maxs - mins
+    out = np.zeros_like(X)
+    varying = span > 0
+    out[:, varying] = (X[:, varying] - mins[varying]) / span[varying]
+    return out
+
+
+def _apply(entry: dict, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one preprocessing entry, with its recorded parameters, to (X, y)."""
+    op = entry["op"]
+    if op == "normalize":
+        X = _min_max(X, np.asarray(entry["feature_min"]), np.asarray(entry["feature_max"]))
+    elif op == "rescale_targets":
+        lo, hi = entry["target_min"], entry["target_max"]
+        half = (hi - lo) / 2.0
+        y = np.zeros_like(y) if half <= 0 else (y - (hi + lo) / 2.0) / half
+    elif op == "pca":
+        Z = (X - np.asarray(entry["mean"])) @ np.asarray(entry["components"]).T
+        X = _min_max(Z, np.asarray(entry["post_min"]), np.asarray(entry["post_max"]))
+    elif op in ("dbscan", "split"):
+        rows = np.asarray(entry["kept_rows" if op == "dbscan" else "indices"], dtype=int)
+        X, y = X[rows], y[rows]
+    else:
+        raise ValueError(f"unknown provenance op {op!r}")
+    return X, y
+
+
+def _append(ds: Dataset, entry: dict) -> Dataset:
+    X, y = _apply(entry, ds.X, ds.y)
     return Dataset(X=X, y=y, provenance=ds.provenance + (entry,))
 
 
@@ -138,57 +168,28 @@ def load_csv(path, target_column: str) -> Dataset:
     return Dataset(X=X, y=y, provenance=(entry,))
 
 
-def _apply_normalize(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-    span = maxs - mins
-    out = np.zeros_like(X)
-    varying = span > 0
-    out[:, varying] = (X[:, varying] - mins[varying]) / span[varying]
-    return out
-
-
 def normalize(ds: Dataset) -> Dataset:
     """Min-max scale each feature column to [0,1]; constant columns map to 0."""
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
-    mins = ds.X.min(axis=0)
-    maxs = ds.X.max(axis=0)
-    X = _apply_normalize(ds.X, mins, maxs)
     entry = {
         "op": "normalize",
-        "feature_min": [float(v) for v in mins],
-        "feature_max": [float(v) for v in maxs],
+        "feature_min": ds.X.min(axis=0).tolist(),
+        "feature_max": ds.X.max(axis=0).tolist(),
     }
-    return _append(ds, X, ds.y, entry)
-
-
-def _apply_rescale(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    half = (hi - lo) / 2.0
-    if half <= 0:
-        return np.zeros_like(y)
-    center = (hi + lo) / 2.0
-    return (y - center) / half
+    return _append(ds, entry)
 
 
 def rescale_targets(ds: Dataset) -> Dataset:
     """Affinely map targets onto [-1, 1] (the observable's range)."""
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
-    lo = float(ds.y.min())
-    hi = float(ds.y.max())
-    y = _apply_rescale(ds.y, lo, hi)
-    entry = {"op": "rescale_targets", "target_min": lo, "target_max": hi}
-    return _append(ds, ds.X, y, entry)
-
-
-def _apply_pca(
-    X: np.ndarray,
-    mean: np.ndarray,
-    components: np.ndarray,
-    post_min: np.ndarray,
-    post_max: np.ndarray,
-) -> np.ndarray:
-    Z = (X - mean) @ components.T
-    return _apply_normalize(Z, post_min, post_max)
+    entry = {
+        "op": "rescale_targets",
+        "target_min": float(ds.y.min()),
+        "target_max": float(ds.y.max()),
+    }
+    return _append(ds, entry)
 
 
 def pca(ds: Dataset, k: int) -> Dataset:
@@ -216,21 +217,20 @@ def pca(ds: Dataset, k: int) -> Dataset:
             eigvecs[:, j] = -eigvecs[:, j]
     total = float(eigvals.sum())
     ratios = eigvals / total if total > 0 else np.zeros_like(eigvals)
-    components = eigvecs[:, :k].T
+    # C order, as _apply reads the recorded components back, so the
+    # projection here and the one _apply makes are the same product
+    components = np.ascontiguousarray(eigvecs[:, :k].T)
     Z = Xc @ components.T
-    post_min = Z.min(axis=0)
-    post_max = Z.max(axis=0)
-    X = _apply_normalize(Z, post_min, post_max)
     entry = {
         "op": "pca",
         "k": int(k),
-        "mean": [float(v) for v in mean],
-        "components": [[float(v) for v in row] for row in components],
-        "explained_variance_ratio": [float(v) for v in ratios[:k]],
-        "post_min": [float(v) for v in post_min],
-        "post_max": [float(v) for v in post_max],
+        "mean": mean.tolist(),
+        "components": components.tolist(),
+        "explained_variance_ratio": ratios[:k].tolist(),
+        "post_min": Z.min(axis=0).tolist(),
+        "post_max": Z.max(axis=0).tolist(),
     }
-    return _append(ds, X, ds.y, entry)
+    return _append(ds, entry)
 
 
 def dbscan(ds: Dataset, eps: float, min_pts: int) -> tuple[np.ndarray, Dataset]:
@@ -276,12 +276,11 @@ def dbscan(ds: Dataset, eps: float, min_pts: int) -> tuple[np.ndarray, Dataset]:
         "op": "dbscan",
         "eps": float(eps),
         "min_pts": int(min_pts),
-        "kept_rows": [int(i) for i in kept],
+        "kept_rows": kept.tolist(),
         "n_noise": int(n - len(kept)),
-        "n_clusters": int(cluster),
+        "n_clusters": cluster,
     }
-    filtered = _append(ds, X[kept], ds.y[kept], entry)
-    return labels, filtered
+    return labels, _append(ds, entry)
 
 
 def synth_generate(
@@ -356,61 +355,25 @@ def train_test_split(ds: Dataset, fraction: float, seed: int = 0) -> tuple[Datas
     if n_train < 1 or n_train >= n:
         raise ValueError(f"fraction {fraction} leaves an empty side for {n} rows")
     perm = np.random.default_rng(seed).permutation(n)
-    tr = perm[:n_train]
-    te = perm[n_train:]
     base = {"fraction": float(fraction), "seed": int(seed)}
-    train = _append(
-        ds, ds.X[tr], ds.y[tr],
-        {"op": "split", "role": "train", "indices": [int(i) for i in tr], **base},
+    return tuple(
+        _append(ds, {"op": "split", "role": role, "indices": rows.tolist(), **base})
+        for role, rows in (("train", perm[:n_train]), ("test", perm[n_train:]))
     )
-    test = _append(
-        ds, ds.X[te], ds.y[te],
-        {"op": "split", "role": "test", "indices": [int(i) for i in te], **base},
-    )
-    return train, test
 
 
 def replay(raw: Dataset, provenance) -> Dataset:
     """Re-apply a provenance chain to raw arrays using the stored parameters.
 
     Generator entries (load_csv, synth) describe the raw data itself and
-    are skipped. The same internal kernels run with the recorded
-    parameters, so the result matches the original processed dataset bit
-    for bit.
+    are skipped; every other entry goes through ``_apply``, the code its
+    transform ran, so the result matches the processed dataset bit for bit.
     """
     X, y = raw.X, raw.y
-    applied = []
     for entry in provenance:
-        op = entry["op"]
-        if op in ("load_csv", "synth"):
-            applied.append(entry)
-            continue
-        if op == "normalize":
-            X = _apply_normalize(
-                X,
-                np.asarray(entry["feature_min"]),
-                np.asarray(entry["feature_max"]),
-            )
-        elif op == "rescale_targets":
-            y = _apply_rescale(y, entry["target_min"], entry["target_max"])
-        elif op == "pca":
-            X = _apply_pca(
-                X,
-                np.asarray(entry["mean"]),
-                np.asarray(entry["components"]),
-                np.asarray(entry["post_min"]),
-                np.asarray(entry["post_max"]),
-            )
-        elif op == "dbscan":
-            kept = np.asarray(entry["kept_rows"], dtype=int)
-            X, y = X[kept], y[kept]
-        elif op == "split":
-            idx = np.asarray(entry["indices"], dtype=int)
-            X, y = X[idx], y[idx]
-        else:
-            raise ValueError(f"unknown provenance op {op!r}")
-        applied.append(entry)
-    return Dataset(X=X, y=y, provenance=tuple(applied))
+        if entry["op"] not in ("load_csv", "synth"):
+            X, y = _apply(entry, X, y)
+    return Dataset(X=X, y=y, provenance=tuple(provenance))
 
 
 def load_dataset(path) -> Dataset:

@@ -215,7 +215,6 @@ def sweep(
     if n_train < 1 or n_train >= dataset_size:
         raise ValueError("train_fraction leaves an empty split")
 
-    noisy = shots is not None or depolarizing > 0.0
     records = []
     for n in qubits:
         config = CircuitConfig(n_qubits=n, n_layers=n_layers)
@@ -236,13 +235,9 @@ def sweep(
                     _derive(base_seed, n, s, 4)
                 ).permutation(n_train)
                 X_fit = X_train[order]
-            noise = None
-            if noisy:
-                noise = NoiseConfig(
-                    shots=shots,
-                    depolarizing_p=depolarizing,
-                    seed=_derive(base_seed, n, s, 5),
-                )
+            noise = NoiseConfig(
+                shots=shots, depolarizing_p=depolarizing, seed=_derive(base_seed, n, s, 5)
+            )
             f_fit = expectation_batch(config, params, X_fit, noise=noise)
             f_test = expectation_batch(config, params, X_test)
             y_test = f_test + np.random.default_rng(
@@ -350,6 +345,7 @@ def showcase(
     fraction of the frequency lattice the surrogate consumed.
     """
     config = CircuitConfig(n_qubits=n_qubits, n_layers=n_layers)
+    noise = NoiseConfig(shots=shots, depolarizing_p=depolarizing, seed=_derive(base_seed, 13))
     desc = omega_max_of(config)
     ds = synth_generate(
         d=n_qubits, size=dataset_size, kind="trig-poly",
@@ -365,11 +361,6 @@ def showcase(
     f_test = expectation_batch(config, params, test_ds.X)
     quantum_mse = float(np.mean((f_test - test_ds.y) ** 2))
     size = lattice_size(desc)
-    noise = None
-    if shots is not None or depolarizing > 0.0:
-        noise = NoiseConfig(
-            shots=shots, depolarizing_p=depolarizing, seed=_derive(base_seed, 13)
-        )
     per_seed = []
     for s in range(seeds):
         model = surrogate_rff(

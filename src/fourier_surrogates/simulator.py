@@ -210,22 +210,23 @@ class NoiseConfig:
 # ---------------------------------------------------------------------------
 
 
+def _qubit_view(states: np.ndarray, qubit: int) -> np.ndarray:
+    """``states`` as (rows, 2**qubit, 2, rest): axis 2 is the qubit's bit."""
+    batch, dim = states.shape
+    return states.reshape(batch, 1 << qubit, 2, dim >> (qubit + 1))
+
+
 def _rotate_batch(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarray:
     """Apply exp(-i*angle*P/2) on one qubit of every row.
 
     ``angles`` is a scalar (same rotation everywhere) or one angle per row.
     """
-    batch, dim = states.shape
-    n = dim.bit_length() - 1
-    theta = np.asarray(angles, dtype=float)
-    half = theta / 2.0
-    # broadcast per-row angles against the (batch, 2, ..., 2) slices
+    half = np.asarray(angles, dtype=float) / 2.0
     if half.ndim == 1:
-        half = half.reshape((batch,) + (1,) * (n - 1))
-    arr = states.reshape((batch,) + (2,) * n)
-    ax = 1 + qubit
-    a0 = np.take(arr, 0, axis=ax)
-    a1 = np.take(arr, 1, axis=ax)
+        half = half[:, None, None]
+    arr = _qubit_view(states, qubit)
+    a0 = np.take(arr, 0, axis=2)
+    a1 = np.take(arr, 1, axis=2)
     if axis == "x":
         c, s = np.cos(half), np.sin(half)
         n0 = c * a0 - 1j * s * a1
@@ -238,21 +239,16 @@ def _rotate_batch(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarr
         phase = np.exp(-1j * half)
         n0 = phase * a0
         n1 = np.conj(phase) * a1
-    return np.stack((n0, n1), axis=ax).reshape(batch, dim)
+    return np.stack((n0, n1), axis=2).reshape(states.shape)
 
 
 def _cnot_batch(states: np.ndarray, control: int, target: int) -> np.ndarray:
-    batch, dim = states.shape
+    """Flip ``target``'s bit of every amplitude index whose ``control`` bit is set."""
+    dim = states.shape[1]
     n = dim.bit_length() - 1
-    arr = states.reshape((batch,) + (2,) * n).copy()
-    i10 = [slice(None)] * (n + 1)
-    i10[1 + control] = 1
-    i11 = list(i10)
-    i10[1 + target] = 0
-    i11[1 + target] = 1
-    i10, i11 = tuple(i10), tuple(i11)
-    arr[i10], arr[i11] = arr[i11].copy(), arr[i10].copy()
-    return arr.reshape(batch, dim)
+    index = np.arange(dim)
+    perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
+    return states.take(perm, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +317,7 @@ def run_circuit_batch(
 
 def _pauli_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
     """Sum over rows of Im<lam|P|psi>, P the Pauli ``axis`` on ``qubit``."""
-    batch, dim = psi.shape
-    shape = (batch, 1 << qubit, 2, dim >> (qubit + 1))
-    lam, psi = lam.reshape(shape), psi.reshape(shape)
+    lam, psi = _qubit_view(lam, qubit), _qubit_view(psi, qubit)
     if axis != "z":
         psi = psi[:, :, ::-1]  # X and Y swap the qubit's |0> and |1> halves
     # halves[b] sums conj(lam) * psi over all rows and over the amplitudes

@@ -427,6 +427,19 @@ def test_zero_frequency_budget_exits_4(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("p", [-0.5, 1.5])
+def test_depolarizing_outside_unit_interval_exits_4(tmp_path, capsys, p):
+    assert run_cli("datagen", "--dimension", 1, "--size", 10,
+                   "--out-dir", tmp_path) == 0
+    rc = run_cli("surrogate", "rff", "--qubits", 1, "--layers", 1,
+                 "--dataset", tmp_path / "dataset.json", "--frequencies", 1,
+                 "--depolarizing", p, "--out-dir", tmp_path)
+    assert rc == 4
+    err = last_stderr_json(capsys)
+    assert err["error"] == "ValueError"
+    assert "depolarizing_p" in err["message"]
+
+
 # ------------------------------------------------------------- logging
 
 

@@ -165,6 +165,14 @@ def test_sweep_validation():
         _tiny_sweep(train_fraction=0.999)
 
 
+def test_negative_depolarizing_is_rejected():
+    with pytest.raises(ValueError, match="depolarizing_p"):
+        _tiny_sweep(depolarizing=-3.0)
+    with pytest.raises(ValueError, match="depolarizing_p"):
+        showcase(n_qubits=1, n_layers=1, dataset_size=20, n_frequencies=1,
+                 seeds=1, train_iters=1, depolarizing=-3.0)
+
+
 def test_sweep_csv_format(tmp_path):
     report = _tiny_sweep()
     path = tmp_path / "sweep.csv"

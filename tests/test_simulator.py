@@ -152,18 +152,28 @@ def test_circuit_matches_dense_oracle(n_qubits, n_layers):
 
 
 def test_circuit_with_custom_wiring_matches_oracle():
-    config = CircuitConfig(
-        n_qubits=3,
-        n_layers=2,
-        d_features=2,
-        coupling_map=((2, 0), (0, 1)),
-        feature_assignment=(1, 0, 1),
+    configs = (
+        CircuitConfig(
+            n_qubits=3,
+            n_layers=2,
+            d_features=2,
+            coupling_map=((2, 0), (0, 1)),
+            feature_assignment=(1, 0, 1),
+        ),
+        # CNOTs between qubits two apart, with the control on either side
+        CircuitConfig(
+            n_qubits=4,
+            n_layers=2,
+            d_features=2,
+            coupling_map=((0, 2), (3, 1), (1, 3), (2, 0)),
+        ),
     )
-    params = ParameterSet.random(config, seed=7)
-    x = np.array([0.3, 1.9])
-    got = run_circuit(config, params, x)
-    want = oracle_state(config, params, x)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    for config in configs:
+        params = ParameterSet.random(config, seed=7)
+        x = np.array([0.3, 1.9])
+        got = run_circuit(config, params, x)
+        want = oracle_state(config, params, x)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize(
