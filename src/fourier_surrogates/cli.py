@@ -1,9 +1,9 @@
 """Command-line surface wrapping the library 1:1.
 
 Every subcommand writes its JSON artifact(s) plus a run manifest into
---out-dir and logs one line per file. Noiseless runs are bit-reproducible:
-identical command and seed give byte-identical artifacts (manifests carry
-wall-clock time and are exempt).
+--out-dir, all through ``_write_json``, and logs one line per file.
+Noiseless runs are bit-reproducible: identical command and seed give
+byte-identical artifacts (manifests carry wall-clock time and are exempt).
 
 Each subcommand accepts only the flags it reads; --seed, --out-dir and
 --json-logs are on every one because every manifest records them.
@@ -59,7 +59,7 @@ from .pipeline import (
 )
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import SpectrumDescriptor, enumerate_canonical, omega_max_of
-from .surrogate import DEFAULT_RCOND, load_model, mse, save_model
+from .surrogate import DEFAULT_RCOND, load_model, mse
 
 __all__ = ["main"]
 
@@ -157,14 +157,17 @@ def _load_input_dataset(args) -> Dataset:
     return _parse_file(load_dataset, path)
 
 
+def _config(args) -> CircuitConfig:
+    """The circuit shape given by --qubits/--layers/--features."""
+    return CircuitConfig(n_qubits=args.qubits, n_layers=args.layers, d_features=args.features)
+
+
 def _load_circuit(args) -> tuple[CircuitConfig, ParameterSet]:
     if args.circuit:
         return _parse_file(_read_circuit, Path(args.circuit))
     if args.qubits is None:
         raise _UsageError("either --circuit or --qubits/--layers is required")
-    config = CircuitConfig(
-        n_qubits=args.qubits, n_layers=args.layers, d_features=args.features
-    )
+    config = _config(args)
     if args.theta == "zero":
         params = ParameterSet.zeros(config)
     else:
@@ -172,11 +175,15 @@ def _load_circuit(args) -> tuple[CircuitConfig, ParameterSet]:
     return config, params
 
 
-def _add_circuit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--circuit", help="JSON file with config + params (from train)")
-    p.add_argument("--qubits", type=int, help="build a fixture circuit instead")
+def _add_shape_flags(p: argparse.ArgumentParser, required: bool, help: str | None = None) -> None:
+    p.add_argument("--qubits", type=int, required=required, help=help)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--features", type=int, default=None)
+
+
+def _add_circuit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--circuit", help="JSON file with config + params (from train)")
+    _add_shape_flags(p, required=False, help="build a fixture circuit instead")
     p.add_argument("--theta", choices=["zero", "random"], default="random")
     p.add_argument("--param-seed", type=int, default=0)
 
@@ -222,9 +229,7 @@ def cmd_preprocess(args) -> None:
 def cmd_train(args) -> None:
     run = _Run(args, "train")
     ds = _parse_file(load_dataset, Path(args.dataset))
-    config = CircuitConfig(
-        n_qubits=args.qubits, n_layers=args.layers, d_features=args.features
-    )
+    config = _config(args)
     tc = TrainConfig(
         learning_rate=args.learning_rate,
         max_iters=args.max_iters,
@@ -260,8 +265,7 @@ def cmd_surrogate(args) -> None:
             config, params, ds.X, D=args.frequencies,
             seed=args.seed, noise=noise, rcond=args.rcond,
         )
-    save_model(model, run.out_dir / args.output)
-    run.emit_file(args.output)
+    run.emit_json(args.output, model.to_json_dict())
     run.log(
         f"{model.mode} surrogate with {len(model.frequencies)} terms, "
         f"residual {model.residual:.3e}",
@@ -290,10 +294,7 @@ def cmd_eval(args) -> None:
 
 def cmd_estimate(args) -> None:
     run = _Run(args, "estimate")
-    config = CircuitConfig(
-        n_qubits=args.qubits, n_layers=args.layers, d_features=args.features
-    )
-    est = estimate_memory(config, bytes_per_entry=args.bytes_per_entry)
+    est = estimate_memory(_config(args), bytes_per_entry=args.bytes_per_entry)
     run.log(
         f"lattice {est.lattice_size}, dense design {est.design_matrix_bytes} bytes, "
         f"tier {est.feasible_on}; exact route {est.exact_route_bytes} bytes",
@@ -308,10 +309,7 @@ def cmd_bounds(args) -> None:
     if args.omega_max:
         desc = SpectrumDescriptor(omega_max=tuple(args.omega_max))
     elif args.qubits is not None:
-        config = CircuitConfig(
-            n_qubits=args.qubits, n_layers=args.layers, d_features=args.features
-        )
-        desc = omega_max_of(config)
+        desc = omega_max_of(_config(args))
     else:
         desc = None
     if args.sigma_p is not None:
@@ -446,9 +444,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", parents=[common], help="fit circuit parameters to data")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--features", type=int, default=None)
+    _add_shape_flags(p, required=True)
     p.add_argument("--learning-rate", type=float, default=0.2)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.0)
@@ -482,9 +478,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("estimate", parents=[common], help="exact-route memory footprint")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--features", type=int, default=None)
+    _add_shape_flags(p, required=True)
     p.add_argument("--bytes-per-entry", type=int, default=16)
     p.add_argument("--output", default="estimate.json")
     p.set_defaults(func=cmd_estimate)
@@ -495,9 +489,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--sigma-p", type=float, default=None)
     p.add_argument("--omega-max", type=int, nargs="+", default=None)
-    p.add_argument("--qubits", type=int, default=None)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--features", type=int, default=None)
+    _add_shape_flags(p, required=False)
     p.add_argument("--ell", type=float, default=None)
     p.add_argument("--kernel-sup-term", type=float, default=None)
     p.add_argument("--trial-points", type=int, default=200)

@@ -8,9 +8,9 @@ __all__ = ["CapExceeded", "DomainTooSmall", "InputFormatError", "InsufficientSpe
 class CapExceeded(Exception):
     """A frequency lattice or sampling grid is too large to materialize.
 
-    Carries the offending size and, when raised from a surrogation run,
-    the memory estimate for the design matrix that would have been built
-    (``estimate`` attribute, a ``ResourceEstimate`` or ``None``).
+    Carries the offending size and, when raised from the exact route, that
+    circuit's ``ResourceEstimate`` (``estimate`` attribute, else ``None``),
+    whose ``exact_route_bytes`` the message names.
     """
 
     def __init__(self, size: int, cap: int, estimate=None):
@@ -19,7 +19,7 @@ class CapExceeded(Exception):
         self.estimate = estimate
         msg = f"lattice/grid size {self.size} exceeds cap {self.cap}"
         if estimate is not None:
-            msg += f" (design matrix ~{estimate.design_matrix_bytes} bytes)"
+            msg += f" (exact route ~{estimate.exact_route_bytes} bytes)"
         super().__init__(msg)
 
 

@@ -9,10 +9,11 @@ Two ways to turn a circuit into a surrogate:
   coefficients, in blocks of basis states, and takes one
   multidimensional FFT of the values. On that grid the grid/lattice
   pairing is a scaled DFT, so every coefficient is recovered exactly up
-  to floating point. Memory grows with the lattice size times 2^n;
-  ``CapExceeded`` guards it. ``estimate_memory`` reports what this route
-  needs next to the dense grid-by-lattice design accounting, which the
-  route never builds.
+  to floating point. The centred spectrum is read in ``spectrum``'s box
+  order: the intercept at N // 2, the canonical terms above it. Memory
+  grows with the lattice size times 2^n; ``CapExceeded`` guards it.
+  ``estimate_memory`` reports what this route needs next to the dense
+  grid-by-lattice design accounting, which the route never builds.
 * ``surrogate_rff`` replaces the grid with a given set of input points
   (normally the training data) and the lattice with D frequency vectors
   sampled uniformly without replacement, then solves the real cos/sin
@@ -233,10 +234,12 @@ def surrogate_exact(
     inverse FFT of C[..., b] zero-padded to T; this is exact, because
     T_i exceeds omega_max(i) and |psi|^2 holds frequencies only up to
     +-omega_max(i). ``_grid_values`` sums the model's grid values
-    y = sum_b w_b |psi_b|^2, w the mean-Z diagonal. Then F = fftn(y) / N holds the coefficient of exp(+i w.x) at index
-    w mod T, so the intercept is Re F_0 and each canonical w gets
-    a_w = 2 Re F_w and b_w = -2 Im F_w. Frequencies come in the
-    lexicographic order of the box. ``residual`` is the 2-norm of the
+    y = sum_b w_b |psi_b|^2, w the mean-Z diagonal. Then F = fftn(y) / N
+    holds the coefficient of exp(+i w.x) at index w mod T; centred by
+    ``fftshift`` and flattened, F is in ``spectrum``'s box order, so the
+    intercept is Re F[N // 2] and the canonical w, in the order
+    ``enumerate_canonical`` gives them, are F[N // 2 + 1:], each with
+    a_w = 2 Re F_w and b_w = -2 Im F_w. ``residual`` is the 2-norm of the
     series' error on those grid values, by inverse FFT: since y is the
     model itself, it measures the round-off of the FFTs and of taking
     the real series, not a gap to a separate simulation.
@@ -251,22 +254,16 @@ def surrogate_exact(
         raise CapExceeded(size, cap, estimate=estimate_memory(config))
     T = tuple(2 * w + 1 for w in desc.omega_max)
     y = _grid_values(state_coefficients(config, params), T, _mean_z_diagonal(config.n_qubits))
-    F = np.fft.fftn(y) / size
-    canonical = enumerate_canonical(desc, cap=cap)
-    freqs = np.asarray(canonical)
-    bins = tuple((freqs % T).T)
-    c = F[bins]
-    # the series' own spectrum is conjugate-symmetric with a real F_0
-    series = np.zeros_like(F)
-    series[bins] = c
-    series[tuple((-freqs % T).T)] = np.conj(c)
-    series.flat[0] = F.flat[0].real
-    residual = float(np.linalg.norm(np.fft.ifftn(series).real * size - y))
+    F = np.fft.fftshift(np.fft.fftn(y) / size).ravel()
+    c0, c = F[size // 2].real, F[size // 2 + 1:]
+    # the series' spectrum in box order: negation maps i to N - 1 - i, the centre is real
+    series = np.concatenate([np.conj(c[::-1]), [c0], c]).reshape(T)
+    residual = float(np.linalg.norm(np.fft.ifftn(np.fft.ifftshift(series)).real * size - y))
     return SurrogateModel(
         d=desc.d,
         omega_max=desc.omega_max,
-        intercept=float(F.flat[0].real),
-        frequencies=tuple(canonical),
+        intercept=float(c0),
+        frequencies=tuple(enumerate_canonical(desc, cap=cap)),
         cos_coeffs=2.0 * c.real,
         sin_coeffs=-2.0 * c.imag,
         mode="exact",

@@ -38,7 +38,6 @@ __all__ = [
     "evaluate_terms",
     "predict_batch",
     "mse",
-    "save_model",
     "load_model",
 ]
 
@@ -283,13 +282,6 @@ def mse(model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> float:
     if y.size == 0:
         raise ValueError("empty evaluation set")
     return float(np.mean((predict_batch(model, X) - y) ** 2))
-
-
-def save_model(model: SurrogateModel, path) -> None:
-    """Write the model to its JSON wire format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_model(path) -> SurrogateModel:

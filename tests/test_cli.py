@@ -268,6 +268,29 @@ def test_showcase_tiny(tmp_path):
     assert len(doc["per_seed"]) == 2
 
 
+# -------------------------------------------------------- artifact format
+
+
+def test_every_json_file_is_written_in_the_one_format(tmp_path):
+    """Sorted keys, two-space indent and a closing newline, manifests included."""
+    dataset, model = tmp_path / "dataset.json", tmp_path / "model.json"
+    for argv in (
+        ("datagen", "--dimension", 2, "--size", 20, "--seed", 4),
+        ("surrogate", "rff", "--qubits", 2, "--layers", 1, "--dataset", dataset,
+         "--frequencies", 3, "--shots", 32),
+        ("eval", "--model", model, "--dataset", dataset),
+        ("estimate", "--qubits", 2, "--layers", 1),
+        ("bounds", "--epsilon", 0.1, "--qubits", 2, "--layers", 1),
+    ):
+        assert run_cli(*argv, "--out-dir", tmp_path) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) == 10
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+    assert read_json(tmp_path / "surrogate_manifest.json")["artifacts"] == ["model.json"]
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -397,6 +420,8 @@ def test_cap_exceeded_exits_3(tmp_path, capsys):
     err = last_stderr_json(capsys)
     assert err["error"] == "CapExceeded"
     assert err["exit_code"] == 3
+    # what the exact route would hold (test_estimate_worked_example), not the dense design
+    assert "257944" in err["message"]
 
 
 def test_domain_too_small_exits_4(tmp_path, capsys):

@@ -195,6 +195,46 @@ def test_exact_coefficient_route_matches_grid_simulation(config):
         _assert_matches_grid_route(config, ParameterSet.random(config, seed=seed))
 
 
+def _bins_fold(config, params):
+    """The exact route's read-out vector by vector: each canonical w gathered
+    from the uncentred spectrum at w mod T, the series scattered back at
+    +-w mod T."""
+    desc = omega_max_of(config)
+    size = lattice_size(desc)
+    T = tuple(2 * w + 1 for w in desc.omega_max)
+    coeffs = simulator.state_coefficients(config, params)
+    y = pipeline._grid_values(coeffs, T, simulator._mean_z_diagonal(config.n_qubits))
+    F = np.fft.fftn(y) / size
+    canonical = enumerate_canonical(desc, cap=size)
+    freqs = np.asarray(canonical)
+    bins = tuple((freqs % T).T)
+    c = F[bins]
+    series = np.zeros_like(F)
+    series[bins] = c
+    series[tuple((-freqs % T).T)] = np.conj(c)
+    series.flat[0] = F.flat[0].real
+    residual = float(np.linalg.norm(np.fft.ifftn(series).real * size - y))
+    return float(F.flat[0].real), tuple(canonical), 2.0 * c.real, -2.0 * c.imag, residual
+
+
+@pytest.mark.parametrize(
+    "config",
+    # 6q2L: N = 15 625 takes several inverse-FFT blocks
+    _EXACT_ORACLE_CIRCUITS + [CircuitConfig(n_qubits=6, n_layers=2)],
+    ids=_EXACT_ORACLE_IDS + ["6q2L"],
+)
+def test_exact_box_order_read_matches_bins_fold_bitwise(config):
+    for seed in range(3):
+        params = ParameterSet.random(config, seed=seed)
+        model = surrogate_exact(config, params, cap=10**5)
+        intercept, canon, a, b, residual = _bins_fold(config, params)
+        assert model.frequencies == canon
+        assert model.intercept == intercept
+        assert np.array_equal(model.cos_coeffs, a)
+        assert np.array_equal(model.sin_coeffs, b)
+        assert model.residual == residual
+
+
 def test_exact_surrogate_simulates_no_grid_point(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the exact route simulated grid points")
