@@ -13,8 +13,14 @@ data-encoding blocks:
   assigned to that qubit.
 
 Model output is the qubit-averaged Pauli-Z expectation of U(x)|0...0>,
-optionally corrupted by binomial shot noise and a global depolarizing
-shrink (1 - p) of the observable.
+optionally corrupted by shot noise and a global depolarizing shrink
+(1 - p) of the observable. A bitstring's mean Z, (n - 2w)/n, depends
+only on its Hamming weight w, so shots are drawn over the n + 1 weight
+classes, not the 2**n outcomes: by the aggregation property of the
+multinomial, the class counts have exactly the distribution of the
+outcome counts summed by class. Each batch call makes one generator
+from its seed and one draw for all its rows, so a row's estimate
+depends on the call it is in.
 
 Bit ordering convention: qubit 0 is the most significant bit of the
 state index, so for two qubits the basis order is |00>, |01>, |10>,
@@ -427,11 +433,39 @@ def run_circuit(config: CircuitConfig, params: ParameterSet, x: np.ndarray) -> n
 
 
 @lru_cache(maxsize=32)
+def _weight_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit-averaged Z observable by Hamming weight.
+
+    Returns (weight, total_z): weight[i] counts the set bits of basis
+    index i, and total_z[w] = n - 2w is the sum of Z over the qubits on
+    every index of weight w. The observable is total_z / n.
+    """
+    idx = np.arange(2**n)
+    weight = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return weight, n - 2 * np.arange(n + 1)
+
+
+@lru_cache(maxsize=32)
 def _mean_z_diagonal(n: int) -> np.ndarray:
     """Diagonal of the qubit-averaged Z observable in the computational basis."""
-    idx = np.arange(2**n)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return (1.0 - 2.0 * bits).mean(axis=1)
+    weight, total_z = _weight_classes(n)
+    return (total_z / n)[weight]
+
+
+def _shot_estimates(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Mean Z of ``shots`` bitstrings drawn from each row of ``probs``.
+
+    Each row's outcome probabilities are summed into weight classes and
+    normalised; one generator from ``seed`` then draws the class counts
+    of every row in one multinomial call. The summed Z of a row's shots
+    is an integer, so each estimate is one rounding of its exact value.
+    """
+    n = probs.shape[1].bit_length() - 1
+    weight, total_z = _weight_classes(n)
+    p_weight = probs @ (weight[:, None] == np.arange(n + 1)).astype(float)
+    p_weight /= p_weight.sum(axis=1, keepdims=True)
+    counts = np.random.default_rng(seed).multinomial(shots, p_weight)
+    return (counts @ total_z) / (n * shots)
 
 
 def expectation_batch(
@@ -443,23 +477,17 @@ def expectation_batch(
     """Qubit-averaged Z expectation for every row of X.
 
     Without ``noise.shots`` the value is exact; with shots it is the
-    empirical mean-Z of a bitstring sample (one independent substream
-    per row, derived from ``noise.seed``).  Either way the result is
-    scaled by (1 - depolarizing_p).
+    empirical mean Z of a bitstring sample per row, drawn by weight class
+    (``_shot_estimates``) in one draw from ``noise.seed`` for the whole
+    call, so a row's estimate depends on the other rows of the call.
+    Either way the result is scaled by (1 - depolarizing_p).
     """
     noise = noise or NoiseConfig()
-    states = run_circuit_batch(config, params, X)
-    w = _mean_z_diagonal(config.n_qubits)
-    probs = np.abs(states) ** 2
+    probs = np.abs(run_circuit_batch(config, params, X)) ** 2
     if noise.shots is None:
-        values = probs @ w
+        values = probs @ _mean_z_diagonal(config.n_qubits)
     else:
-        values = np.empty(len(probs))
-        seeds = np.random.SeedSequence(noise.seed).spawn(len(probs))
-        for i, (p, ss) in enumerate(zip(probs, seeds)):
-            rng = np.random.default_rng(ss)
-            counts = rng.multinomial(noise.shots, p / p.sum())
-            values[i] = (counts @ w) / noise.shots
+        values = _shot_estimates(probs, noise.shots, noise.seed)
     return (1.0 - noise.depolarizing_p) * values
 
 

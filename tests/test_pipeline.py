@@ -45,6 +45,7 @@ from fourier_surrogates import (
 )
 from fourier_surrogates import pipeline, simulator
 from fourier_surrogates.simulator import mse_gradient
+from test_simulator import _per_row_sampler
 
 # ---------------------------------------------------------------------------
 # memory estimator
@@ -582,6 +583,27 @@ def _shots_case():
 
 def test_shots_training_is_unchanged():
     """Shots training keeps parameter-shift: the recorded run, bit for bit."""
+    config, ds = _shots_case()
+    params, history = train(config, ds, TrainConfig(shots=256, max_iters=2))
+    assert history == [0.18939045715145397, 0.18279245684705567, 0.1809527859638326]
+    assert params.angles.reshape(-1).tolist() == [
+        4.012492177104146, 1.6992405080106987, 0.24772768163533126,
+        0.11074799077740166, 5.126515844683785, 5.7368614690509085,
+        3.8021361979237374, 4.5782537779161725, 3.405305302357229,
+        5.8633883073860265, 5.118856100029731, 0.01621835324828031,
+        5.37716410178516, 0.21642848226472003, 4.5783283725251405,
+        1.1013401033408337, 5.41729773356541, 3.3894846224081054,
+        1.9152346365064452, 2.67035556628788, 0.17903563031032413,
+        0.7775722639361234, 4.212808935444446, 4.06460660338324,
+        3.855249631669956, 2.4009045795390067, 6.267226950147588,
+    ]
+
+
+def test_shots_training_with_the_per_row_sampler_is_the_earlier_recording(monkeypatch):
+    """Only the shot sampler changed: with the per-row sampler injected,
+    shots training reproduces the run recorded before weight-class
+    sampling, bit for bit."""
+    monkeypatch.setattr(simulator, "_shot_estimates", _per_row_sampler)
     config, ds = _shots_case()
     params, history = train(config, ds, TrainConfig(shots=256, max_iters=2))
     assert history == [0.19335248595696006, 0.18544437035647865, 0.1687308739086709]

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourier_surrogates import (
     CircuitConfig,
@@ -317,6 +318,141 @@ def test_shot_values_are_attainable_averages():
     )
     # mean over 100 single-qubit +-1 outcomes lands on a multiple of 2/100
     assert abs(vals[0] * 50 - round(vals[0] * 50)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the shot sampler: weight-class draws against the per-row outcome sampler
+# ---------------------------------------------------------------------------
+
+
+def _per_row_sampler(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The former shot sampler: one substream and one draw over 2**n outcomes per row.
+
+    A drop-in for ``simulator._shot_estimates``; a row's estimate depends
+    only on ``seed`` and its row index.
+    """
+    w = simulator._mean_z_diagonal(probs.shape[1].bit_length() - 1)
+    values = np.empty(len(probs))
+    seeds = np.random.SeedSequence(seed).spawn(len(probs))
+    for i, (p, ss) in enumerate(zip(probs, seeds)):
+        counts = np.random.default_rng(ss).multinomial(shots, p / p.sum())
+        values[i] = (counts @ w) / shots
+    return values
+
+
+SAMPLERS = {"weight-class": simulator._shot_estimates, "per-row": _per_row_sampler}
+
+
+def _fixed_state_probs(n: int) -> np.ndarray:
+    amps = np.random.default_rng(50 + n).normal(size=(2**n, 2)) @ [1.0, 1.0j]
+    return np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_shot_estimates_have_the_exact_mean_and_variance(sampler, n):
+    """400 seeds x 25 rows of one state: mean and variance within 5 sigma.
+
+    One shot's mean Z takes the value z on each outcome, so the estimate
+    over ``shots`` shots has mean mu = p.z and variance var1 / shots,
+    var1 = p.(z - mu)^2. The variance's standard error comes from the
+    estimate's exact fourth central moment. Rows of one call must be
+    independent: the variance of a call's row mean is var / rows.
+    """
+    shots, seeds, rows = 40, 400, 25
+    p = _fixed_state_probs(n)
+    z = simulator._mean_z_diagonal(n)
+    mu = p @ z
+    var1, m4_1 = p @ (z - mu) ** 2, p @ (z - mu) ** 4
+    var = var1 / shots
+    m4 = (m4_1 + 3 * (shots - 1) * var1**2) / shots**3
+    probs = np.tile(p, (rows, 1))
+    est = np.stack([SAMPLERS[sampler](probs, shots, s) for s in range(seeds)])
+    count = est.size
+    assert abs(est.mean() - mu) < 5 * np.sqrt(var / count)
+    assert abs(est.var(ddof=1) - var) < 5 * np.sqrt((m4 - var**2) / count)
+    call_means = est.mean(axis=1)
+    assert abs(call_means.var(ddof=1) / (var / rows) - 1) < 5 * np.sqrt(2 / (seeds - 1))
+
+
+@pytest.mark.parametrize("shots", [1, 2, 7, 100, 100_000])
+def test_basis_states_give_their_exact_value_at_every_shot_count(shots):
+    n = 3
+    probs = np.eye(2**n)
+    got = simulator._shot_estimates(probs, shots, seed=shots)
+    np.testing.assert_array_equal(got, simulator._mean_z_diagonal(n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("shots", [1, 5, 64, 1001])
+def test_shot_estimates_lie_on_the_weight_lattice(n, shots):
+    """An estimate is 1 - 2k/(n*shots), k the total Hamming weight of its shots.
+
+    So 1 minus every estimate is a multiple of 2/(n*shots).
+    """
+    config = CircuitConfig(n_qubits=n, n_layers=2)
+    params = ParameterSet.random(config, seed=n + shots)
+    X = np.random.default_rng(shots).uniform(0, 2 * np.pi, size=(20, n))
+    vals = expectation_batch(config, params, X, noise=NoiseConfig(shots=shots, seed=4))
+    k = (1.0 - vals) * n * shots / 2.0
+    np.testing.assert_allclose(k, np.round(k), atol=1e-6)
+    assert np.all((0 <= np.round(k)) & (np.round(k) <= n * shots))
+
+
+@st.composite
+def _shots_case(draw):
+    n = draw(st.integers(1, 6))
+    config = CircuitConfig(n_qubits=n, n_layers=draw(st.integers(1, 2)))
+    rows = draw(st.integers(1, 50))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    X = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-scale, scale, (rows, n))
+    params = ParameterSet.random(config, seed=draw(st.integers(0, 2**16)))
+    noise = NoiseConfig(shots=draw(st.integers(1, 100_000)), seed=draw(st.integers(0, 2**31)))
+    return config, params, X, noise
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shots_case())
+def test_shot_sampler_accepts_every_drawn_circuit(case):
+    """No drawn circuit trips numpy's check on the class probabilities."""
+    config, params, X, noise = case
+    vals = expectation_batch(config, params, X, noise)
+    assert vals.shape == (len(X),)
+    assert np.all(np.abs(vals) <= 1.0)
+    single = expectation(config, params, X[0], noise)
+    assert -1.0 <= single <= 1.0
+    dead = NoiseConfig(shots=noise.shots, depolarizing_p=1.0, seed=noise.seed)
+    np.testing.assert_array_equal(expectation_batch(config, params, X, dead), 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 37, 400])
+def test_one_generator_and_no_spawn_per_shots_call(monkeypatch, rows):
+    """Counts generator constructions and substream spawns, not wall time."""
+    made, spawned = [], []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    config = CircuitConfig(n_qubits=2, n_layers=1)
+    params = ParameterSet.random(config, seed=1)
+    X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(rows, 2))
+    made.clear()
+    expectation_batch(config, params, X, noise=NoiseConfig(shots=16, seed=3))
+    assert (len(made), spawned) == (1, [])
+    # the counters see the per-row sampler's generators and spawn
+    made.clear()
+    monkeypatch.setattr(simulator, "_shot_estimates", _per_row_sampler)
+    expectation_batch(config, params, X, noise=NoiseConfig(shots=16, seed=3))
+    assert (len(made), spawned) == (rows, [rows])
 
 
 def test_noise_config_validation():
