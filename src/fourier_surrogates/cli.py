@@ -20,7 +20,9 @@ Errors print a machine-readable JSON object to stderr and exit with
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 import traceback
@@ -87,6 +89,12 @@ class _Run:
         self.command = command
         self.out_dir = Path(args.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        if getattr(args, "output", None) is not None:
+            # raise the error that writing the artifact would, before any work is done
+            path = self.out_dir / args.output
+            if not path.parent.is_dir():
+                code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+                raise OSError(code, os.strerror(code), str(path))
         self.artifacts: list[str] = []
         self.t0 = time.monotonic()
 

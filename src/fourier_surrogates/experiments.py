@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import rescale_targets, synth_generate, train_test_split
-from .pipeline import TrainConfig, surrogate_rff, train
+from .pipeline import TrainConfig, _fit_rff, fingerprint_of, train
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import canonical_count, lattice_size, omega_max_of, sample_distinct
 from .surrogate import DEFAULT_RCOND, build_real_design, mse
@@ -361,12 +361,13 @@ def showcase(
     f_test = expectation_batch(config, params, test_ds.X)
     quantum_mse = float(np.mean((f_test - test_ds.y) ** 2))
     size = lattice_size(desc)
+    # every seed fits the same circuit values on its own frequency draw
+    y_train = expectation_batch(config, params, train_ds.X, noise=noise)
+    fingerprint = fingerprint_of(config, params)
     per_seed = []
     for s in range(seeds):
-        model = surrogate_rff(
-            config, params, train_ds.X, D=n_frequencies,
-            seed=_derive(base_seed, 14, s), noise=noise,
-        )
+        freqs = sample_distinct(desc, n_frequencies, seed=_derive(base_seed, 14, s))
+        model = _fit_rff(desc, train_ds.X, y_train, freqs, DEFAULT_RCOND, fingerprint)
         mse_s = mse(model, test_ds.X, test_ds.y)
         per_seed.append(
             {

@@ -35,10 +35,20 @@ with the gradient of their mean squared error in the angles, by the
 adjoint method. ``state_coefficients`` gives the state's Fourier
 coefficients in the inputs, for every input at once. All three walk the
 one gate list that ``_gates`` yields.
+
+Layout: inside this module a batch is held amplitudes first, as
+(2**n, rows), and a coefficient tensor as (2**n, k_0, ..., k_{d-1}).
+A qubit's |0> and |1> halves are then made of contiguous runs at least
+as long as the batch, whichever the qubit. Each gate writes into a
+preallocated buffer that the walk then swaps with its input, so no gate
+allocates. The public boundary stays rows first: ``run_circuit_batch``
+returns a C-contiguous (rows, 2**n) array through one transpose at the
+end, and ``state_coefficients`` returns (k_0, ..., k_{d-1}, 2**n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +67,7 @@ __all__ = [
 ]
 
 _AXES = ("x", "y", "z")
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _linear_chain(n_qubits: int) -> tuple[tuple[int, int], ...]:
@@ -211,50 +222,78 @@ class NoiseConfig:
 
 
 # ---------------------------------------------------------------------------
-# gate application on batched states, shape (batch, 2**n); gates come
-# only from ``_gates``, whose qubits ``CircuitConfig`` has validated
+# gate kernels on amplitudes-first batches, (2**n, ...): each writes into a
+# given ``out`` of its input's shape and returns it. Gates come only from
+# ``_gates``, whose qubits ``CircuitConfig`` has validated.
 # ---------------------------------------------------------------------------
 
 
-def _qubit_view(states: np.ndarray, qubit: int) -> np.ndarray:
-    """``states`` as (rows, 2**qubit, 2, rest): axis 2 is the qubit's bit."""
-    batch, dim = states.shape
-    return states.reshape(batch, 1 << qubit, 2, dim >> (qubit + 1))
+def _apply_1q(states: np.ndarray, qubit: int, u, out: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 ``u`` on ``qubit`` of every column of ``states``, into ``out``.
 
-
-def _rotate_batch(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarray:
-    """Apply exp(-i*angle*P/2) on one qubit of every row.
-
-    ``angles`` is a scalar (same rotation everywhere) or one angle per row.
+    ``states`` and ``out`` are C-contiguous. Each entry of ``u`` is a
+    scalar or one value per input row (the last axis). When both
+    off-diagonal entries are the scalar 0.0 (Rz), only the diagonal is
+    applied. Otherwise ``states`` is spent: its |1> half holds u11 * a1
+    on return, which spares the kernel a scratch buffer.
+    Every product puts the matrix entry first, because numpy's fused
+    complex multiply rounds ``u * a`` and ``a * u`` differently.
     """
+    (u00, u01), (u10, u11) = u
+    # the qubit's bit and the rows get axes of their own: (2**qubit, 2, rest, rows)
+    split = (1 << qubit, 2, -1, np.size(u11))
+    a, o = states.reshape(split), out.reshape(split)
+    np.multiply(u00, a[:, 0], out=o[:, 0])
+    if isinstance(u01, float) and u01 == u10 == 0.0:
+        np.multiply(u11, a[:, 1], out=o[:, 1])
+        return out
+    # out's |1> half holds u01 * a1 until the |0> half is done
+    np.multiply(u01, a[:, 1], out=o[:, 1])
+    o[:, 0] += o[:, 1]
+    np.multiply(u10, a[:, 0], out=o[:, 1])
+    np.multiply(u11, a[:, 1], out=a[:, 1])
+    o[:, 1] += a[:, 1]
+    return out
+
+
+def _rotation(axis: str, angles) -> tuple:
+    """The 2x2 of exp(-i*angle*P/2) as nested entries, scalars or one per row."""
     half = np.asarray(angles, dtype=float) / 2.0
-    if half.ndim == 1:
-        half = half[:, None, None]
-    arr = _qubit_view(states, qubit)
-    a0 = np.take(arr, 0, axis=2)
-    a1 = np.take(arr, 1, axis=2)
-    if axis == "x":
-        c, s = np.cos(half), np.sin(half)
-        n0 = c * a0 - 1j * s * a1
-        n1 = -1j * s * a0 + c * a1
-    elif axis == "y":
-        c, s = np.cos(half), np.sin(half)
-        n0 = c * a0 - s * a1
-        n1 = s * a0 + c * a1
-    else:
+    if axis == "z":
         phase = np.exp(-1j * half)
-        n0 = phase * a0
-        n1 = np.conj(phase) * a1
-    return np.stack((n0, n1), axis=2).reshape(states.shape)
+        return (phase, 0.0), (0.0, np.conj(phase))
+    c, s = np.cos(half), np.sin(half)
+    if axis == "x":
+        return (c, -1j * s), (-1j * s, c)
+    return (c, -s), (s, c)
 
 
-def _cnot_batch(states: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Flip ``target``'s bit of every amplitude index whose ``control`` bit is set."""
-    dim = states.shape[1]
+def _rotate_batch(states, qubit: int, axis: str, angles, out) -> np.ndarray:
+    """Apply exp(-i*angle*P/2) on one qubit of every row, into ``out``.
+
+    ``angles`` is a scalar (same rotation everywhere) or one angle per
+    row. ``states`` is spent unless the axis is z.
+    """
+    return _apply_1q(states, qubit, _rotation(axis, angles), out)
+
+
+@lru_cache(maxsize=256)
+def _cnot_permutation(dim: int, control: int, target: int) -> np.ndarray:
     n = dim.bit_length() - 1
     index = np.arange(dim)
     perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
-    return states.take(perm, axis=1)
+    perm.flags.writeable = False  # one cached array serves every caller
+    return perm
+
+
+def _cnot_batch(states, control: int, target: int, out) -> np.ndarray:
+    """Flip ``target``'s bit of every amplitude index whose ``control`` bit is set.
+
+    ``mode="clip"`` spares ``take`` its bounds check and the buffered
+    copy that comes with it; the cached permutation is always in range.
+    """
+    perm = _cnot_permutation(len(states), control, target)
+    return np.take(states, perm, axis=0, out=out, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +321,34 @@ def _gates(config: CircuitConfig):
             yield "cnot", c, t, None
 
 
-def _apply_gate(states, gate, angles: np.ndarray, X: np.ndarray, inverse: bool = False):
-    """Apply one gate of ``_gates``, or its inverse, to every row.
+def _apply_gate(states, gate, angles: np.ndarray, X: np.ndarray, out) -> np.ndarray:
+    """Apply one gate of ``_gates`` to every row; returns the array holding the result.
 
-    Trainable rotations by exactly 0.0 are the identity and are skipped.
-    A CNOT is its own inverse.
+    That is ``out``, or ``states`` itself for a trainable rotation by
+    exactly 0.0, which is the identity and is skipped.
     """
     kind, a, b, source = gate
     if kind == "cnot":
-        return _cnot_batch(states, a, b)
+        return _cnot_batch(states, a, b, out)
     theta = X[:, source] if kind == "enc" else angles[source]
     if kind == "rot" and theta == 0.0:
         return states
-    return _rotate_batch(states, a, b, -theta if inverse else theta)
+    return _rotate_batch(states, a, b, theta, out)
+
+
+def _forward(config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out):
+    """U(x)|0..0> for every row x of X, walked in two (2**n, rows) buffers.
+
+    The gates alternate between ``states`` and ``out``; returns the one
+    that holds the final states.
+    """
+    states[...] = 0.0
+    states[0] = 1.0
+    for gate in _gates(config):
+        result = _apply_gate(states, gate, angles, X, out)
+        if result is out:
+            states, out = out, states
+    return states
 
 
 def _inputs(config: CircuitConfig, X) -> np.ndarray:
@@ -314,26 +368,23 @@ def run_circuit_batch(
     """Run U(x)|0..0> for every row x of X; returns (len(X), 2**n) states."""
     params.validate_for(config)
     X = _inputs(config, X)
-    states = np.zeros((X.shape[0], 2**config.n_qubits), dtype=complex)
-    states[:, 0] = 1.0
-    for gate in _gates(config):
-        states = _apply_gate(states, gate, params.angles, X)
-    return states
+    shape = (2**config.n_qubits, X.shape[0])
+    states = _forward(
+        config, params.angles, X, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    )
+    return states.T.copy()
 
 
-def _pauli_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
-    """Sum over rows of Im<lam|P|psi>, P the Pauli ``axis`` on ``qubit``."""
-    lam, psi = _qubit_view(lam, qubit), _qubit_view(psi, qubit)
-    if axis != "z":
-        psi = psi[:, :, ::-1]  # X and Y swap the qubit's |0> and |1> halves
-    # halves[b] sums conj(lam) * psi over all rows and over the amplitudes
-    # where lam's bit for this qubit is b
-    halves = np.einsum("ijkl,ijkl->k", np.conj(lam), psi)
-    if axis == "x":
-        return float((halves[0] + halves[1]).imag)
-    if axis == "y":
-        return float((halves[1] - halves[0]).real)
-    return float((halves[0] - halves[1]).imag)
+def _overlap(sweep: np.ndarray, qubit: int, scratch: np.ndarray) -> np.ndarray:
+    """M[a, b] = sum of conj(lam_a) psi_b over rows and amplitudes, a, b the qubit's bit.
+
+    ``sweep`` holds psi and lam as (2**n, 2, rows); ``scratch`` holds at
+    least half as many entries, and receives conj(lam).
+    """
+    split = sweep.reshape((1 << qubit, 2, -1) + sweep.shape[1:])
+    lam = scratch.reshape(-1)[: sweep[:, 1].size].reshape(split[..., 1, :].shape)
+    np.conjugate(split[..., 1, :], out=lam)
+    return np.einsum("iajr,ibjr->ab", lam, split[..., 0, :])
 
 
 def mse_gradient(
@@ -342,58 +393,90 @@ def mse_gradient(
     """Exact predictions f and the gradient of mean((f - y)^2) in the angles.
 
     Adjoint method: after one forward pass, the costate
-    lam = 2(f - y)/m * O psi is swept back through the gates together
-    with psi, un-applying each gate to both. A rotation exp(-i theta P/2)
-    contributes sum over rows of Im<lam|P|psi> to its angle's entry.
-    Only psi and lam are held, never the intermediate states. Returns
-    (f, grad) with grad shaped like ``params.angles``.
+    lam = 2(f - y)/m * O psi is swept back through the circuit together
+    with psi, as one (2**n, 2, rows) array, so that each un-applied gate
+    acts on both. CNOTs and encodings are un-applied gate by gate. A
+    qubit's Rx, Ry, Rz in a trainable block are un-applied at once, as
+    the fused 2x2 U = Rx^H Ry^H Rz^H. Before that, one overlap matrix
+    M[a, b] = sum of conj(lam_a) psi_b over the qubit's bit a, b gives all
+    three gradients: a rotation exp(-i theta P/2) contributes the sum
+    over rows of Im<lam|P|psi> = Im sum_ab P[a, b] M[a, b] to its angle,
+    and un-applying a rotation R carries M to R^T M conj(R). Only psi and
+    lam are held, never the intermediate states, in two sweep-sized
+    buffers, and the forward pass runs in their first halves. The
+    predictions are computed as ``expectation_batch`` computes them.
+    Returns (f, grad) with grad shaped like ``params.angles``.
     """
+    params.validate_for(config)
     X = _inputs(config, X)
-    psi = run_circuit_batch(config, params, X)
-    w = _mean_z_diagonal(config.n_qubits)
-    preds = np.abs(psi) ** 2 @ w
     y = np.asarray(y, dtype=float)
-    if y.shape != preds.shape:
-        raise ValueError(f"targets of shape {y.shape} do not match {len(preds)} input rows")
-    lam = (2.0 * (preds - y) / len(preds))[:, None] * w * psi
+    n, rows = config.n_qubits, X.shape[0]
+    if y.shape != (rows,):
+        raise ValueError(f"targets of shape {y.shape} do not match {rows} input rows")
+    dim = 2**n
+    size = dim * rows
+    first, second = np.empty(2 * size, dtype=complex), np.empty(2 * size, dtype=complex)
+    psi = _forward(
+        config, params.angles, X, first[:size].reshape(dim, rows), second[:size].reshape(dim, rows)
+    )
+    if not np.may_share_memory(psi, first):
+        first, second = second, first
+    # psi fills the first half of ``first``; its second half takes |psi|^2 as (rows, 2**n)
+    probs = first[size:].view(float)[:size].reshape(rows, dim)
+    np.abs(psi.T, out=probs)
+    np.square(probs, out=probs)
+    w = _mean_z_diagonal(n)
+    preds = probs @ w
+    sweep, spare = second.reshape(dim, 2, rows), first.reshape(dim, 2, rows)
+    sweep[:, 0] = psi
+    np.multiply(w[:, None], psi, out=sweep[:, 1])
+    sweep[:, 1] *= 2.0 * (preds - y) / rows
     grad = np.zeros_like(params.angles)
-    for gate in reversed(tuple(_gates(config))):
-        kind, qubit, axis, source = gate
-        if kind == "rot":
-            grad[source] = _pauli_overlap(lam, psi, qubit, axis)
-        psi = _apply_gate(psi, gate, params.angles, X, inverse=True)
-        lam = _apply_gate(lam, gate, params.angles, X, inverse=True)
+    for block in range(config.n_layers, -1, -1):
+        for c, t in reversed(config.coupling_map):
+            sweep, spare = _cnot_batch(sweep, c, t, spare), sweep
+        for q in range(n - 1, -1, -1):
+            M = _overlap(sweep, q, spare)
+            undo = np.eye(2, dtype=complex)
+            for a in (2, 1, 0):
+                grad[block, q, a] = np.sum(_PAULIS[a] * M).imag
+                R = np.array(_rotation(_AXES[a], params.angles[block, q, a]), dtype=complex)
+                M = R.T @ M @ R.conj()
+                undo = R.conj().T @ undo
+            sweep, spare = _apply_1q(sweep, q, undo, spare), sweep
+        if block:
+            for q in range(n - 1, -1, -1):
+                theta = -X[:, config.feature_assignment[q]]
+                sweep, spare = _rotate_batch(sweep, q, "x", theta, spare), sweep
     return preds, grad
 
 
-def _encode_coefficients(coeffs: np.ndarray, qubit: int, feature: int) -> np.ndarray:
+def _encode_coefficients(coeffs: np.ndarray, qubit: int, feature: int, grown: np.ndarray):
     """Apply Rx(x_feature) on ``qubit`` to a coefficient tensor, dropping e^{-ix/2}.
 
-    The (I+X)/2 half of every row stays at its frequency and the (I-X)/2
-    half moves one step up along the feature's axis, which grows by one
-    to hold it. ``coeffs`` is spent: it is the scratch for the
-    (I-X)/2 half, so only it and the grown tensor are ever held.
+    ``coeffs`` is (2**n, k_0, ..., k_{d-1}); ``grown`` is the same with
+    the feature's axis one longer, and is returned. The (I+X)/2 half of
+    every row stays at its frequency and the (I-X)/2 half moves one step
+    up along the feature's axis. ``coeffs`` is spent: it is the scratch
+    for the (I-X)/2 half.
     """
-    d = coeffs.ndim - 1
-    grown_shape = list(coeffs.shape)
-    grown_shape[feature] += 1
-    grown = np.zeros(grown_shape, dtype=complex)
-    # the qubit's bit gets an axis of its own: (..., 2**qubit, 2, rest)
-    split = coeffs.shape[:d] + (1 << qubit, 2, -1)
-    old = coeffs.reshape(split)
-    new = grown.reshape(tuple(grown_shape[:d]) + split[d:])
-    keep = new[(slice(None),) * feature + (slice(None, -1),)]
-    shift = new[(slice(None),) * feature + (slice(1, None),)]
-    # (I+X)/2 sets both halves to their mean
-    np.add(old[..., 0, :], old[..., 1, :], out=keep[..., 0, :])
-    keep[..., 0, :] *= 0.5
-    keep[..., 1, :] = keep[..., 0, :]
+    split = (1 << qubit, 2, -1)
+    old = coeffs.reshape(split + coeffs.shape[1:])
+    new = grown.reshape(split + grown.shape[1:])
+    along = (slice(None),) * (len(split) + feature)
+    new[along + (-1,)] = 0.0
+    keep, shift = new[along + (slice(None, -1),)], new[along + (slice(1, None),)]
+    # (I+X)/2 sets both halves to their mean; computing it twice spares
+    # the temporary copy numpy makes between interleaved views
+    for b in (0, 1):
+        np.add(old[:, 0], old[:, 1], out=keep[:, b])
+        keep[:, b] *= 0.5
     # (I-X)/2 sets them to +-half their difference
-    diff = old[..., 0, :]
-    diff -= old[..., 1, :]
+    diff = old[:, 0]
+    diff -= old[:, 1]
     diff *= 0.5
-    shift[..., 0, :] += diff
-    shift[..., 1, :] -= diff
+    shift[:, 0] += diff
+    shift[:, 1] -= diff
     return grown
 
 
@@ -404,27 +487,43 @@ def state_coefficients(config: CircuitConfig, params: ParameterSet) -> np.ndarra
     cancels in |psi|^2, so the state is the polynomial
     psi(x) = sum_k C[k] exp(i k.x) with k_f in 0..L*g_f, where g_f
     counts the qubits carrying feature f. Returns C with shape
-    (L*g_0 + 1, ..., L*g_{d-1} + 1, 2**n).
+    (L*g_0 + 1, ..., L*g_{d-1} + 1, 2**n), C-contiguous.
 
     One walk of the gates that ``run_circuit_batch`` and
     ``mse_gradient`` walk: trainable rotations and CNOTs act on the
     coefficient rows as on a batch of states, and each encoding splits
     every row into its (I+/-X)/2 halves (``_encode_coefficients``). The
     tensor grows along a feature's axis at each of its encodings, so the
-    gates act only on the frequencies reached so far.
+    gates act only on the frequencies reached so far. The walk holds the
+    tensor amplitudes first, (2**n, k_0, ..., k_{d-1}), in two buffers
+    of the final tensor's size that the gates alternate between; the
+    result is transposed into the spare one.
     """
     params.validate_for(config)
     dim = 2**config.n_qubits
-    coeffs = np.zeros((1,) * config.d_features + (dim,), dtype=complex)
-    coeffs.flat[0] = 1.0
+    g = np.bincount(config.feature_assignment, minlength=config.d_features)
+    size = dim * math.prod(config.n_layers * g + 1)
+    buffer, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    coeffs = buffer[:dim].reshape((dim,) + (1,) * config.d_features)
+    coeffs[...] = 0.0
+    coeffs[0] = 1.0
     for gate in _gates(config):
         kind, qubit, _, source = gate
         if kind == "enc":
-            coeffs = _encode_coefficients(coeffs, qubit, source)
+            shape = list(coeffs.shape)
+            shape[1 + source] += 1
+            out = spare[: math.prod(shape)].reshape(shape)
+            result = _encode_coefficients(coeffs, qubit, source, out)
         else:
-            rows = _apply_gate(coeffs.reshape(-1, dim), gate, params.angles, None)
-            coeffs = rows.reshape(coeffs.shape)
-    return coeffs
+            out = spare[: coeffs.size].reshape(coeffs.shape)
+            result = _apply_gate(coeffs, gate, params.angles, None, out)
+        if result is out:
+            buffer, spare = spare, buffer
+        coeffs = result
+    # basis state last, C-contiguous, in the buffer the walk has no more use for
+    out = spare.reshape(coeffs.shape[1:] + (dim,))
+    np.copyto(out, np.moveaxis(coeffs, 0, -1))
+    return out
 
 
 def run_circuit(config: CircuitConfig, params: ParameterSet, x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fourier_surrogates as fs
+from fourier_surrogates import cli
 from fourier_surrogates.cli import main
 
 
@@ -362,6 +363,20 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert rc == 2
     err = last_stderr_json(capsys)
     assert err["exit_code"] == 2
+
+
+def test_unwritable_output_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the surrogate was computed before the output was checked")
+
+    monkeypatch.setattr(cli, "surrogate_exact", unreachable)
+    rc = run_cli("surrogate", "exact", "--qubits", 1, "--output", "missing/model.json",
+                 "--out-dir", tmp_path)
+    assert rc == 2
+    err = last_stderr_json(capsys)
+    assert (err["error"], err["exit_code"]) == ("FileNotFoundError", 2)
+    assert str(tmp_path / "missing" / "model.json") in err["message"]
+    assert not (tmp_path / "missing").exists()
 
 
 _MODEL_D3 = (

@@ -8,13 +8,16 @@ import pytest
 from fourier_surrogates import (
     SpectrumDescriptor,
     build_real_design,
+    expectation_batch,
     linear_fit,
     sample_distinct,
     showcase,
+    surrogate_rff,
     sweep,
     sweep_to_csv,
 )
-from fourier_surrogates.experiments import _LazyRealDesign, _minimal_quantity
+from fourier_surrogates import experiments
+from fourier_surrogates.experiments import _derive, _LazyRealDesign, _minimal_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,32 @@ def test_negative_depolarizing_is_rejected():
     with pytest.raises(ValueError, match="depolarizing_p"):
         showcase(n_qubits=1, n_layers=1, dataset_size=20, n_frequencies=1,
                  seeds=1, train_iters=1, depolarizing=-3.0)
+
+
+def test_showcase_evaluates_its_training_rows_once_for_every_seed(monkeypatch):
+    """Each seed's model is the one surrogate_rff gives, from one shared evaluation."""
+    evaluations, models = [], []
+    fit_rff = experiments._fit_rff
+
+    def recording_eval(config, params, X, noise=None):
+        evaluations.append((config, params, X, noise))
+        return expectation_batch(config, params, X, noise=noise)
+
+    def recording_fit(*args):
+        models.append(fit_rff(*args))
+        return models[-1]
+
+    monkeypatch.setattr(experiments, "expectation_batch", recording_eval)
+    monkeypatch.setattr(experiments, "_fit_rff", recording_fit)
+    showcase(n_qubits=2, n_layers=1, dataset_size=40, n_frequencies=3, seeds=3,
+             train_iters=1, shots=64)
+    # the noiseless test rows, then the training rows under the showcase's noise
+    assert len(evaluations) == 2 and len(models) == 3
+    config, params, X, noise = evaluations[1]
+    assert noise.shots == 64
+    for s, model in enumerate(models):
+        expected = surrogate_rff(config, params, X, D=3, seed=_derive(0, 14, s), noise=noise)
+        assert model.to_json_dict() == expected.to_json_dict()
 
 
 def test_sweep_csv_format(tmp_path):

@@ -45,7 +45,12 @@ from fourier_surrogates import (
 )
 from fourier_surrogates import pipeline, simulator
 from fourier_surrogates.simulator import mse_gradient
-from test_simulator import _per_row_sampler
+from test_simulator import (
+    _per_row_sampler,
+    row_major_mse_gradient,
+    row_major_run,
+    row_major_state_coefficients,
+)
 
 # ---------------------------------------------------------------------------
 # memory estimator
@@ -531,6 +536,71 @@ def test_adjoint_gradient_matches_parameter_shift_on_drawn_circuits(case):
 def test_exact_coefficient_route_matches_grid_simulation_on_drawn_circuits(case):
     config, params, _, _ = case
     _assert_matches_grid_route(config, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_circuit())
+def test_simulator_equals_the_row_major_oracle_on_drawn_circuits(case):
+    """States and coefficient tensors bit for bit, adjoint gradients to 1e-12."""
+    config, params, X, y = case
+    states = simulator.run_circuit_batch(config, params, X)
+    assert states.flags.c_contiguous
+    np.testing.assert_array_equal(states, row_major_run(config, params, X))
+    np.testing.assert_array_equal(
+        simulator.state_coefficients(config, params), row_major_state_coefficients(config, params)
+    )
+    preds, grad = mse_gradient(config, params, X, y)
+    oracle_preds, oracle_grad = row_major_mse_gradient(config, params, X, y)
+    np.testing.assert_array_equal(preds, oracle_preds)
+    np.testing.assert_allclose(grad, oracle_grad, rtol=0, atol=1e-12)
+
+
+def test_exact_route_is_unchanged_by_the_coefficient_layout(monkeypatch):
+    config = CircuitConfig(n_qubits=3, n_layers=2, d_features=2, feature_assignment=(1, 0, 1))
+    params = ParameterSet.random(config, seed=23)
+    model = surrogate_exact(config, params)
+    monkeypatch.setattr(pipeline, "state_coefficients", row_major_state_coefficients)
+    assert model.to_json_dict() == surrogate_exact(config, params).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CircuitConfig(n_qubits=3, n_layers=2), CircuitConfig(n_qubits=4, n_layers=3, d_features=2)],
+    ids=["3q2L", "4q3L-d2"],
+)
+def test_adjoint_sweep_un_applies_each_qubits_rotations_in_one_kernel_call(monkeypatch, config):
+    """Per block and qubit one fused 2x2; only encodings go through ``_rotate_batch`` backwards."""
+    calls = {"_apply_1q": 0, "_rotate_batch": 0}
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
+    X, y = _random_data(config, rows=5, seed=1)
+    mse_gradient(config, ParameterSet.random(config, seed=1), X, y)
+    n, L = config.n_qubits, config.n_layers
+    # forward: every rotation and encoding; backward: every encoding
+    assert calls["_rotate_batch"] == 3 * n * (L + 1) + 2 * n * L
+    # each _rotate_batch call is one _apply_1q call; the rest are the fused un-applies
+    assert calls["_apply_1q"] - calls["_rotate_batch"] == (L + 1) * n
+
+
+def test_adjoint_gradient_holds_four_state_sized_arrays():
+    """psi and lam side by side in two buffers, the forward pass inside them."""
+    config = CircuitConfig(n_qubits=8, n_layers=2)
+    X, y = _random_data(config, rows=350, seed=2)
+    params = ParameterSet.random(config, seed=2)
+    tracemalloc.start()
+    try:
+        mse_gradient(config, params, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * 2**8 * 350
 
 
 def test_noiseless_training_matches_parameter_shift_descent():

@@ -82,16 +82,149 @@ def oracle_mean_z(state: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-gate fixtures, on one-row batches through the kernels circuits use
+# the former row-major simulator, as the bit-for-bit oracle of the
+# amplitudes-first one: batches are (rows, 2**n), every rotation copies
+# the qubit's halves out with ``take`` and back with ``stack``, the
+# adjoint sweep un-applies psi and lam gate by gate, and the coefficient
+# tensor is held basis-state last
+# ---------------------------------------------------------------------------
+
+
+def _row_major_view(states: np.ndarray, qubit: int) -> np.ndarray:
+    """``states`` as (rows, 2**qubit, 2, rest): axis 2 is the qubit's bit."""
+    batch, dim = states.shape
+    return states.reshape(batch, 1 << qubit, 2, dim >> (qubit + 1))
+
+
+def row_major_rotate(states: np.ndarray, qubit: int, axis: str, angles) -> np.ndarray:
+    half = np.asarray(angles, dtype=float) / 2.0
+    if half.ndim == 1:
+        half = half[:, None, None]
+    arr = _row_major_view(states, qubit)
+    a0 = np.take(arr, 0, axis=2)
+    a1 = np.take(arr, 1, axis=2)
+    if axis == "x":
+        c, s = np.cos(half), np.sin(half)
+        n0 = c * a0 - 1j * s * a1
+        n1 = -1j * s * a0 + c * a1
+    elif axis == "y":
+        c, s = np.cos(half), np.sin(half)
+        n0 = c * a0 - s * a1
+        n1 = s * a0 + c * a1
+    else:
+        phase = np.exp(-1j * half)
+        n0 = phase * a0
+        n1 = np.conj(phase) * a1
+    return np.stack((n0, n1), axis=2).reshape(states.shape)
+
+
+def row_major_cnot(states: np.ndarray, control: int, target: int) -> np.ndarray:
+    dim = states.shape[1]
+    n = dim.bit_length() - 1
+    index = np.arange(dim)
+    perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
+    return states.take(perm, axis=1)
+
+
+def _row_major_gate(states, gate, angles, X, inverse=False):
+    kind, a, b, source = gate
+    if kind == "cnot":
+        return row_major_cnot(states, a, b)
+    theta = X[:, source] if kind == "enc" else angles[source]
+    if kind == "rot" and theta == 0.0:
+        return states
+    return row_major_rotate(states, a, b, -theta if inverse else theta)
+
+
+def row_major_run(config: CircuitConfig, params: ParameterSet, X) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    states = np.zeros((X.shape[0], 2**config.n_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    for gate in simulator._gates(config):
+        states = _row_major_gate(states, gate, params.angles, X)
+    return states
+
+
+def _pauli_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
+    """Sum over rows of Im<lam|P|psi>, P the Pauli ``axis`` on ``qubit``."""
+    lam, psi = _row_major_view(lam, qubit), _row_major_view(psi, qubit)
+    if axis != "z":
+        psi = psi[:, :, ::-1]  # X and Y swap the qubit's |0> and |1> halves
+    halves = np.einsum("ijkl,ijkl->k", np.conj(lam), psi)
+    if axis == "x":
+        return float((halves[0] + halves[1]).imag)
+    if axis == "y":
+        return float((halves[1] - halves[0]).real)
+    return float((halves[0] - halves[1]).imag)
+
+
+def row_major_mse_gradient(config: CircuitConfig, params: ParameterSet, X, y):
+    """The adjoint sweep that un-applies every gate to psi and to lam in turn."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    psi = row_major_run(config, params, X)
+    w = simulator._mean_z_diagonal(config.n_qubits)
+    preds = np.abs(psi) ** 2 @ w
+    lam = (2.0 * (preds - y) / len(preds))[:, None] * w * psi
+    grad = np.zeros_like(params.angles)
+    for gate in reversed(tuple(simulator._gates(config))):
+        kind, qubit, axis, source = gate
+        if kind == "rot":
+            grad[source] = _pauli_overlap(lam, psi, qubit, axis)
+        psi = _row_major_gate(psi, gate, params.angles, X, inverse=True)
+        lam = _row_major_gate(lam, gate, params.angles, X, inverse=True)
+    return preds, grad
+
+
+def _row_major_encode(coeffs: np.ndarray, qubit: int, feature: int) -> np.ndarray:
+    d = coeffs.ndim - 1
+    grown_shape = list(coeffs.shape)
+    grown_shape[feature] += 1
+    grown = np.zeros(grown_shape, dtype=complex)
+    split = coeffs.shape[:d] + (1 << qubit, 2, -1)
+    old = coeffs.reshape(split)
+    new = grown.reshape(tuple(grown_shape[:d]) + split[d:])
+    keep = new[(slice(None),) * feature + (slice(None, -1),)]
+    shift = new[(slice(None),) * feature + (slice(1, None),)]
+    np.add(old[..., 0, :], old[..., 1, :], out=keep[..., 0, :])
+    keep[..., 0, :] *= 0.5
+    keep[..., 1, :] = keep[..., 0, :]
+    diff = old[..., 0, :]
+    diff -= old[..., 1, :]
+    diff *= 0.5
+    shift[..., 0, :] += diff
+    shift[..., 1, :] -= diff
+    return grown
+
+
+def row_major_state_coefficients(config: CircuitConfig, params: ParameterSet) -> np.ndarray:
+    """The coefficient walk with the tensor held as (k_0, ..., k_{d-1}, 2**n)."""
+    dim = 2**config.n_qubits
+    coeffs = np.zeros((1,) * config.d_features + (dim,), dtype=complex)
+    coeffs.flat[0] = 1.0
+    for gate in simulator._gates(config):
+        kind, qubit, _, source = gate
+        if kind == "enc":
+            coeffs = _row_major_encode(coeffs, qubit, source)
+        else:
+            rows = _row_major_gate(coeffs.reshape(-1, dim), gate, params.angles, None)
+            coeffs = rows.reshape(coeffs.shape)
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# single-gate fixtures, on one-row batches (amplitudes first) through the
+# kernels circuits use
 # ---------------------------------------------------------------------------
 
 
 def rotate(state, qubit: int, axis: str, angle: float) -> np.ndarray:
-    return simulator._rotate_batch(np.asarray(state, dtype=complex)[None], qubit, axis, angle)[0]
+    states = np.asarray(state, dtype=complex)[:, None]
+    return simulator._rotate_batch(states, qubit, axis, angle, np.empty_like(states))[:, 0]
 
 
 def cnot(state, control: int, target: int) -> np.ndarray:
-    return simulator._cnot_batch(np.asarray(state, dtype=complex)[None], control, target)[0]
+    states = np.asarray(state, dtype=complex)[:, None]
+    return simulator._cnot_batch(states, control, target, np.empty_like(states))[:, 0]
 
 
 def test_rx_pi_flips_with_phase():
