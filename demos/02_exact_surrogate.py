@@ -46,4 +46,4 @@ weights = np.hypot(model.cos_coeffs, model.sin_coeffs)
 order = np.argsort(weights)[::-1]
 print("\nfive heaviest frequency vectors:")
 for i in order[:5]:
-    print(f"  {model.frequencies[i]}  amplitude {weights[i]:.4f}")
+    print(f"  {tuple(model.frequencies[i].tolist())}  amplitude {weights[i]:.4f}")

@@ -46,6 +46,8 @@ class Dataset:
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         y = np.asarray(self.y, dtype=float).ravel()
+        if y.shape[0] == 0:  # "X": [] keeps no feature count, so it could not be read back
+            raise ValueError("empty dataset")
         if X.shape[0] != y.shape[0]:
             raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} targets")
         object.__setattr__(self, "X", X)
@@ -170,8 +172,6 @@ def load_csv(path, target_column: str) -> Dataset:
 
 def normalize(ds: Dataset) -> Dataset:
     """Min-max scale each feature column to [0,1]; constant columns map to 0."""
-    if ds.n_rows == 0:
-        raise ValueError("empty dataset")
     entry = {
         "op": "normalize",
         "feature_min": ds.X.min(axis=0).tolist(),
@@ -182,8 +182,6 @@ def normalize(ds: Dataset) -> Dataset:
 
 def rescale_targets(ds: Dataset) -> Dataset:
     """Affinely map targets onto [-1, 1] (the observable's range)."""
-    if ds.n_rows == 0:
-        raise ValueError("empty dataset")
     entry = {
         "op": "rescale_targets",
         "target_min": float(ds.y.min()),
@@ -328,8 +326,8 @@ def synth_generate(
         entry["ground_truth"] = {
             "intercept": intercept,
             "terms": [
-                {"freq": [int(v) for v in f], "a": float(av), "b": float(bv)}
-                for f, av, bv in zip(freqs, a, b)
+                {"freq": f, "a": float(av), "b": float(bv)}
+                for f, av, bv in zip(freqs.tolist(), a, b)
             ],
         }
     else:

@@ -51,6 +51,7 @@ from .simulator import (
 )
 from .spectrum import (
     SpectrumDescriptor,
+    _frequency_array,
     enumerate_canonical,
     lattice_size,
     omega_max_of,
@@ -265,7 +266,7 @@ def surrogate_exact(
         d=desc.d,
         omega_max=desc.omega_max,
         intercept=float(c0),
-        frequencies=tuple(enumerate_canonical(desc, cap=cap)),
+        frequencies=enumerate_canonical(desc, cap=cap),
         cos_coeffs=2.0 * c.real,
         sin_coeffs=-2.0 * c.imag,
         mode="exact",
@@ -317,7 +318,7 @@ def _fit_rff(
         d=desc.d,
         omega_max=desc.omega_max,
         intercept=float(coeffs[0]),
-        frequencies=tuple(freqs),
+        frequencies=freqs,
         cos_coeffs=np.asarray(coeffs[1::2], dtype=float),
         sin_coeffs=np.asarray(coeffs[2::2], dtype=float),
         mode="rff",
@@ -376,8 +377,6 @@ def train(
         raise ValueError(
             f"dataset has {X.shape[1]} features, circuit encodes {config.d_features}"
         )
-    if y.size == 0:
-        raise ValueError("empty dataset")
     if y.min() < -1.0 - 1e-9 or y.max() > 1.0 + 1e-9:
         raise ValueError("targets must be rescaled to [-1, 1] before training")
     if init is None:
@@ -548,11 +547,11 @@ def bound_lrr_features(p: BoundParams) -> int:
 
 def lattice_kernel(freqs, deltas: np.ndarray) -> np.ndarray:
     """Shift-invariant kernel mean(cos(w . delta)) over the given frequencies."""
-    W = np.asarray([tuple(f) for f in freqs], dtype=float)
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-    if W.size == 0:
+    W = _frequency_array(freqs, deltas.shape[1])
+    if not len(W):
         raise ValueError("no frequencies supplied")
-    return np.mean(np.cos(deltas @ W.T), axis=1)
+    return np.mean(np.cos(deltas @ W.astype(float).T), axis=1)
 
 
 def empirical_kernel_sup(
@@ -572,18 +571,15 @@ def empirical_kernel_sup(
       bound_alpha_epsilon), and
     * the empirical sup of |k(x - y) - k_tilde(x - y)|.
     """
-    freq_sample = [tuple(f) for f in freq_sample]
-    if not freq_sample:
-        raise ValueError("empty frequency sample")
     if trial_points < 1:
         raise ValueError("trial_points must be at least 1")
-    full = enumerate_canonical(desc, cap=cap)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2.0 * math.pi, size=(trial_points, desc.d))
     y = rng.uniform(0.0, 2.0 * math.pi, size=(trial_points, desc.d))
     delta = x - y
+    k_samp = lattice_kernel(freq_sample, delta)  # validates the sample before the lattice
+    full = enumerate_canonical(desc, cap=cap)
     k_full = lattice_kernel(full, delta)
-    k_samp = lattice_kernel(freq_sample, delta)
     k_double = lattice_kernel(full, 2.0 * delta)
     sup_term = float(np.max(0.5 + 0.5 * k_double - k_full))
     sup_err = float(np.max(np.abs(k_full - k_samp)))

@@ -8,10 +8,10 @@ lattice and builds the equidistant grid with T_i = 2*omega_max(i) + 1
 points per feature on which the full coefficient set is exactly
 recoverable.
 
-Frequency vectors are plain tuples of ints.  A vector is *canonical*
-when its first nonzero component is positive; each canonical vector
-stands for a conjugate (omega, -omega) pair, which keeps fitted
-surrogates real-valued.
+A set of D frequency vectors over d features is one read-only (D, d)
+int64 array, one vector per row.  A vector is *canonical* when its first
+nonzero component is positive; each canonical vector stands for a conjugate
+(omega, -omega) pair, which keeps fitted surrogates real-valued.
 
 Index convention: the N = prod(T_i) lattice vectors are numbered 0..N-1
 in lexicographic order of the box, first component most significant, so
@@ -25,8 +25,8 @@ indices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,12 +40,9 @@ __all__ = [
     "lattice_size",
     "canonical_count",
     "enumerate_canonical",
-    "canonicalize",
     "sample_distinct",
     "full_grid",
 ]
-
-FrequencyVector = tuple  # d integers
 
 
 @dataclass(frozen=True)
@@ -100,14 +97,35 @@ def canonical_count(desc: SpectrumDescriptor) -> int:
     return (lattice_size(desc) - 1) // 2
 
 
-def canonicalize(freq: Sequence) -> FrequencyVector:
-    """Flip the sign so the first nonzero component is positive."""
-    for v in freq:
-        if v > 0:
-            return tuple(freq)
-        if v < 0:
-            return tuple(-c for c in freq)
-    return tuple(freq)
+def _frequency_array(freqs, d: int | None = None) -> np.ndarray:
+    """``freqs`` as a read-only, C-contiguous (D, d) int64 array.
+
+    Takes a signed integer array or a sequence of sequences of ints; without
+    ``d`` the first vector sets it, so the input must not be empty. Raises
+    ValueError for other entries, vectors of another length and ints past
+    int64. A writeable array is copied; a read-only int64 one is kept as is.
+    """
+    array = isinstance(freqs, np.ndarray) and freqs.dtype.kind == "i" and freqs.ndim == 2
+    if not array:
+        freqs = list(freqs)
+    if d is None:
+        if not len(freqs):
+            raise ValueError("no frequencies supplied")
+        d = len(freqs[0])
+    for k in ({freqs.shape[1]} if array else set(map(len, freqs))) - {d}:
+        raise ValueError(f"every frequency must be {d} ints, got {k}")
+    if array:
+        W = np.array(freqs, dtype=np.int64, order="C", copy=freqs.flags.writeable or None)
+    else:
+        for t in set(map(type, itertools.chain.from_iterable(freqs))) - {int}:
+            raise ValueError(f"every frequency must be {d} ints, got {t.__name__}")
+        try:
+            W = np.fromiter(itertools.chain.from_iterable(freqs), np.int64, len(freqs) * d)
+        except OverflowError:
+            raise ValueError(f"every frequency must be {d} ints within int64") from None
+        W = W.reshape(len(freqs), d)
+    W.flags.writeable = False
+    return W
 
 
 def _box_index(desc: SpectrumDescriptor, vectors: np.ndarray) -> np.ndarray:
@@ -121,16 +139,17 @@ def _box_index(desc: SpectrumDescriptor, vectors: np.ndarray) -> np.ndarray:
 
 
 def _box_vectors(desc: SpectrumDescriptor, index: np.ndarray) -> np.ndarray:
-    """The (k, d) integer vectors at the given box indices; inverts _box_index."""
+    """The read-only (k, d) int64 vectors at the given box indices; inverts _box_index."""
     vectors = np.empty((len(index), desc.d), dtype=np.int64)
     for i in reversed(range(desc.d)):
         t = 2 * desc.omega_max[i] + 1
         vectors[:, i] = index % t - desc.omega_max[i]
         index = index // t
+    vectors.flags.writeable = False
     return vectors
 
 
-def enumerate_canonical(desc: SpectrumDescriptor, cap: int) -> list[FrequencyVector]:
+def enumerate_canonical(desc: SpectrumDescriptor, cap: int) -> np.ndarray:
     """All canonical nonzero vectors, in lexicographic order of the box.
 
     Raises CapExceeded when the lattice is larger than ``cap``.
@@ -138,11 +157,10 @@ def enumerate_canonical(desc: SpectrumDescriptor, cap: int) -> list[FrequencyVec
     size = lattice_size(desc)
     if size > cap:
         raise CapExceeded(size, cap)
-    vectors = _box_vectors(desc, np.arange(size // 2 + 1, size))
-    return list(zip(*vectors.T.tolist()))
+    return _box_vectors(desc, np.arange(size // 2 + 1, size))
 
 
-def sample_distinct(desc: SpectrumDescriptor, D: int, seed: int) -> list[FrequencyVector]:
+def sample_distinct(desc: SpectrumDescriptor, D: int, seed: int) -> np.ndarray:
     """Draw D distinct canonical nonzero frequency vectors.
 
     Components are drawn independently and uniformly over the integer
@@ -176,8 +194,7 @@ def sample_distinct(desc: SpectrumDescriptor, D: int, seed: int) -> list[Frequen
         drawn = np.concatenate([drawn, index[index != centre]])
         _, first = np.unique(drawn, return_index=True)
         drawn = drawn[np.sort(first)]
-    # tuples built column-wise: no row lists held alongside them
-    return list(zip(*_box_vectors(desc, drawn[:D]).T.tolist()))
+    return _box_vectors(desc, drawn[:D])
 
 
 def full_grid(desc: SpectrumDescriptor, cap: int = 10**6) -> Grid:

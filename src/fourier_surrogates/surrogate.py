@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .spectrum import FrequencyVector, canonicalize
+from .spectrum import _frequency_array
 
 __all__ = [
     "DEFAULT_RCOND",
@@ -55,14 +54,14 @@ class DesignMatrix:
     ``basis`` is ``"complex-exponential"`` (one column per lattice
     vector, entry exp(-i w.x)) or ``"real-trig"`` (intercept column
     followed by a cos/sin pair per canonical frequency).
-    ``column_frequencies`` maps columns to frequency vectors; in the
-    real basis it lists each canonical frequency once (two columns
-    each, after the intercept).
+    ``column_frequencies`` is the (D, d) frequency array; in the real
+    basis it lists each canonical frequency once (two columns each,
+    after the intercept).
     """
 
     entries: np.ndarray
     basis: str
-    column_frequencies: tuple[FrequencyVector, ...]
+    column_frequencies: np.ndarray
 
 
 def _as_points(points: np.ndarray, d: int) -> np.ndarray:
@@ -74,44 +73,36 @@ def _as_points(points: np.ndarray, d: int) -> np.ndarray:
     return pts
 
 
-def build_complex_design(
-    points: np.ndarray, freqs: Sequence[FrequencyVector]
-) -> DesignMatrix:
+def build_complex_design(points: np.ndarray, freqs) -> DesignMatrix:
     """Design with entry (j, k) = exp(-i * freqs[k] . points[j])."""
-    freqs = tuple(tuple(f) for f in freqs)
-    if not freqs:
-        raise ValueError("no frequencies supplied")
-    pts = _as_points(points, len(freqs[0]))
-    W = np.asarray(freqs, dtype=float)
-    entries = np.exp(-1j * (pts @ W.T))
-    return DesignMatrix(entries=entries, basis="complex-exponential", column_frequencies=freqs)
+    W = _frequency_array(freqs)
+    pts = _as_points(points, W.shape[1])
+    entries = np.exp(-1j * (pts @ W.astype(float).T))
+    return DesignMatrix(entries=entries, basis="complex-exponential", column_frequencies=W)
 
 
-def build_real_design(
-    points: np.ndarray, canonical_freqs: Sequence[FrequencyVector]
-) -> DesignMatrix:
+def build_real_design(points: np.ndarray, canonical_freqs) -> DesignMatrix:
     """Design with columns [1, cos(w1.x), sin(w1.x), ..., cos(wD.x), sin(wD.x)].
 
     Frequencies must be canonical and nonzero; the constant term lives in
     the leading intercept column.
     """
-    freqs = tuple(tuple(f) for f in canonical_freqs)
-    if not freqs:
-        raise ValueError("no frequencies supplied")
-    for f in freqs:
-        if not any(f):
+    W = _frequency_array(canonical_freqs)
+    lead = W[np.arange(len(W)), np.argmax(W != 0, axis=1)]  # first nonzero entry, or 0
+    bad = np.flatnonzero(lead <= 0)
+    if bad.size:
+        if lead[bad[0]] == 0:
             raise ValueError("zero frequency not allowed; intercept column covers it")
-        if canonicalize(f) != f:
-            raise ValueError(f"frequency {f} is not canonical (first nonzero must be > 0)")
-    pts = _as_points(points, len(freqs[0]))
-    W = np.asarray(freqs, dtype=float)
-    phases = pts @ W.T
+        f = tuple(W[bad[0]].tolist())
+        raise ValueError(f"frequency {f} is not canonical (first nonzero must be > 0)")
+    pts = _as_points(points, W.shape[1])
+    phases = pts @ W.astype(float).T
     rows, D = phases.shape
     entries = np.empty((rows, 1 + 2 * D))
     entries[:, 0] = 1.0
     entries[:, 1::2] = np.cos(phases)
     entries[:, 2::2] = np.sin(phases)
-    return DesignMatrix(entries=entries, basis="real-trig", column_frequencies=freqs)
+    return DesignMatrix(entries=entries, basis="real-trig", column_frequencies=W)
 
 
 def fit(
@@ -142,17 +133,17 @@ def fit(
 class SurrogateModel:
     """Fitted real Fourier surrogate.
 
-    ``frequencies`` are canonical vectors of ``d`` Python ints, and
-    ``omega_max`` has ``d`` entries; ``cos_coeffs``/``sin_coeffs`` hold
-    (a_w, b_w) in matching order.  ``mode`` records which surrogation
-    route produced the model ("exact" or "rff"); ``fingerprint`` ties it
-    to the source circuit.
+    ``frequencies`` is a read-only (D, d) int64 array of canonical vectors
+    (``spectrum._frequency_array`` of the input); ``omega_max`` has ``d``
+    entries; ``cos_coeffs``/``sin_coeffs`` hold (a_w, b_w) in matching
+    order.  ``mode`` records which surrogation route produced the model
+    ("exact" or "rff"); ``fingerprint`` ties it to the source circuit.
     """
 
     d: int
     omega_max: tuple[int, ...]
     intercept: float
-    frequencies: tuple[FrequencyVector, ...]
+    frequencies: np.ndarray
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
     mode: str
@@ -166,12 +157,9 @@ class SurrogateModel:
             raise ValueError("one (a, b) pair is required per frequency")
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
-        freqs = tuple(tuple(f) for f in self.frequencies)
         if len(self.omega_max) != self.d:
             raise ValueError(f"omega_max has {len(self.omega_max)} entries, model d={self.d}")
-        if {len(f) for f in freqs} - {self.d} or {type(v) for f in freqs for v in f} - {int}:
-            raise ValueError(f"every frequency must be {self.d} ints")
-        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "frequencies", _frequency_array(self.frequencies, self.d))
         if self.mode not in ("exact", "rff"):
             raise ValueError("mode must be 'exact' or 'rff'")
 
@@ -181,8 +169,8 @@ class SurrogateModel:
             "omega_max": list(self.omega_max),
             "intercept": self.intercept,
             "terms": [
-                {"freq": list(f), "a": float(a), "b": float(b)}
-                for f, a, b in zip(self.frequencies, self.cos_coeffs, self.sin_coeffs)
+                {"freq": f, "a": float(a), "b": float(b)}
+                for f, a, b in zip(self.frequencies.tolist(), self.cos_coeffs, self.sin_coeffs)
             ],
             "mode": self.mode,
             "residual": self.residual,
@@ -198,7 +186,7 @@ class SurrogateModel:
             d=int(doc["d"]),
             omega_max=tuple(int(w) for w in doc["omega_max"]),
             intercept=float(doc["intercept"]),
-            frequencies=tuple(tuple(t["freq"]) for t in terms),
+            frequencies=[t["freq"] for t in terms],
             cos_coeffs=np.array([t["a"] for t in terms], dtype=float),
             sin_coeffs=np.array([t["b"] for t in terms], dtype=float),
             mode=doc["mode"],
@@ -208,8 +196,8 @@ class SurrogateModel:
 
 
 def complex_fit_to_real(
-    freqs: Sequence[FrequencyVector], coeffs: np.ndarray
-) -> tuple[float, list[FrequencyVector], np.ndarray, np.ndarray]:
+    freqs, coeffs: np.ndarray
+) -> tuple[float, list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Fold complex-exponential coefficients into intercept + (a, b) pairs.
 
     Keeps the coefficient of each canonical lattice vector and drops its
@@ -217,24 +205,24 @@ def complex_fit_to_real(
     realness should cancel exceeds IMAG_LEAK_TOL (a sign the frequency
     set was not conjugate-closed).
     """
-    freqs = [tuple(f) for f in freqs]
-    index = {f: k for k, f in enumerate(freqs)}
+    vectors = list(map(tuple, _frequency_array(freqs).tolist()))
+    index = {f: k for k, f in enumerate(vectors)}
     coeffs = np.asarray(coeffs)
     intercept = 0.0
-    zero = (0,) * len(freqs[0])
+    zero = (0,) * len(vectors[0])
     if zero in index:
         c0 = coeffs[index[zero]]
         intercept = float(np.real(c0))
         leak = abs(np.imag(c0))
     else:
         leak = 0.0
-    canon: list[FrequencyVector] = []
+    canon: list[tuple[int, ...]] = []
     a_list, b_list = [], []
-    for f in freqs:
-        if f == zero or canonicalize(f) != f:
+    for f in vectors:
+        conj_partner = tuple(-v for v in f)
+        if f <= conj_partner:  # zero, or the first nonzero entry is negative
             continue
         c = coeffs[index[f]]
-        conj_partner = tuple(-v for v in f)
         if conj_partner in index:
             leak = max(leak, abs(coeffs[index[conj_partner]] - np.conj(c)))
         canon.append(f)
@@ -252,18 +240,18 @@ def complex_fit_to_real(
 def evaluate_terms(
     X: np.ndarray,
     intercept: float,
-    freqs: Sequence[FrequencyVector],
+    freqs,
     cos_coeffs: np.ndarray,
     sin_coeffs: np.ndarray,
 ) -> np.ndarray:
     """Evaluate c0 + sum_w a_w cos(w.x) + b_w sin(w.x) over rows of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not freqs:
+    if not len(freqs):
         return np.full(X.shape[0], float(intercept))
-    W = np.asarray([tuple(f) for f in freqs], dtype=float)
+    W = _frequency_array(freqs)
     if X.shape[1] != W.shape[1]:
         raise ValueError(f"input dimension {X.shape[1]} does not match model {W.shape[1]}")
-    phases = X @ W.T
+    phases = X @ W.astype(float).T
     return intercept + np.cos(phases) @ np.asarray(cos_coeffs) + np.sin(phases) @ np.asarray(
         sin_coeffs
     )

@@ -5,6 +5,7 @@ directory and inspects the emitted JSON artifacts, the run manifest,
 and the exit code. One subprocess test checks the module entry point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -177,6 +178,28 @@ def test_surrogate_exact_byte_identical_reruns(tmp_path):
                      "--param-seed", 4, "--out-dir", out)
         assert rc == 0
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+
+
+# SHA-256 of three fixed-seed artifacts. A change to any digest changes the
+# model or dataset wire format or a fixed-seed result; the float digits come
+# from one numpy/OpenBLAS build, so another BLAS may move the last bits.
+_GOLDEN_SHA256 = {
+    "exact/model.json": "14b1cbc9382abc085d3fe2d5407364e285d919501d30f9723f7145c9a66c1e4c",
+    "rff/model.json": "55ee2fc5c75138767cb8811eb7c00fa87e8402cc457869512307436badab835c",
+    "dataset.json": "b52506bcf56398eea6a2983aefe134a6e5516577f22f35348e8ac4a3aee8f12c",
+}
+
+
+def test_artifacts_keep_their_golden_bytes(tmp_path):
+    assert run_cli("surrogate", "exact", "--qubits", 2, "--layers", 1,
+                   "--out-dir", tmp_path / "exact") == 0
+    assert run_cli("datagen", "--dimension", 2, "--size", 20, "--seed", 5,
+                   "--out-dir", tmp_path) == 0
+    assert run_cli("surrogate", "rff", "--qubits", 2, "--layers", 1,
+                   "--dataset", tmp_path / "dataset.json", "--frequencies", 3,
+                   "--seed", 11, "--out-dir", tmp_path / "rff") == 0
+    for name, digest in _GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # --------------------------------------------------------------- estimate

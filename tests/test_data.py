@@ -37,6 +37,16 @@ def test_dataset_coercion_and_validation():
         Dataset(X=np.zeros((3, 2)), y=np.zeros(2))
 
 
+def test_empty_dataset_is_rejected(tmp_path):
+    # zero rows do not survive JSON: "X": [] carries no feature count
+    with pytest.raises(ValueError, match="empty dataset"):
+        Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"X": [], "y": [], "provenance": []}))
+    with pytest.raises(ValueError, match="empty dataset"):
+        load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_exact_fft_route_matches_dense_solve(config):
         params = ParameterSet.random(config, seed=seed)
         model = surrogate_exact(config, params)
         intercept, canon, a, b = _dense_exact(config, params)
-        assert model.frequencies == tuple(canon)
+        assert np.array_equal(model.frequencies, canon)
         assert abs(model.intercept - intercept) <= 1e-12
         np.testing.assert_allclose(model.cos_coeffs, a, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.sin_coeffs, b, rtol=0, atol=1e-12)
@@ -178,7 +178,7 @@ def _grid_exact(config, params):
 def _assert_matches_grid_route(config, params):
     model = surrogate_exact(config, params)
     intercept, canon, a, b = _grid_exact(config, params)
-    assert model.frequencies == tuple(canon)
+    assert np.array_equal(model.frequencies, canon)
     assert abs(model.intercept - intercept) <= 1e-12
     np.testing.assert_allclose(model.cos_coeffs, a, rtol=0, atol=1e-12)
     np.testing.assert_allclose(model.sin_coeffs, b, rtol=0, atol=1e-12)
@@ -220,7 +220,7 @@ def _bins_fold(config, params):
     series[tuple((-freqs % T).T)] = np.conj(c)
     series.flat[0] = F.flat[0].real
     residual = float(np.linalg.norm(np.fft.ifftn(series).real * size - y))
-    return float(F.flat[0].real), tuple(canonical), 2.0 * c.real, -2.0 * c.imag, residual
+    return float(F.flat[0].real), canonical, 2.0 * c.real, -2.0 * c.imag, residual
 
 
 @pytest.mark.parametrize(
@@ -234,7 +234,7 @@ def test_exact_box_order_read_matches_bins_fold_bitwise(config):
         params = ParameterSet.random(config, seed=seed)
         model = surrogate_exact(config, params, cap=10**5)
         intercept, canon, a, b, residual = _bins_fold(config, params)
-        assert model.frequencies == canon
+        assert np.array_equal(model.frequencies, canon)
         assert model.intercept == intercept
         assert np.array_equal(model.cos_coeffs, a)
         assert np.array_equal(model.sin_coeffs, b)
@@ -329,7 +329,7 @@ def test_rff_is_deterministic_and_validated():
     X = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(30, 2))
     m1 = surrogate_rff(config, params, X, D=3, seed=5)
     m2 = surrogate_rff(config, params, X, D=3, seed=5)
-    assert m1.frequencies == m2.frequencies
+    assert np.array_equal(m1.frequencies, m2.frequencies)
     np.testing.assert_array_equal(m1.cos_coeffs, m2.cos_coeffs)
     with pytest.raises(ValueError):
         surrogate_rff(config, params, X, D=0)
@@ -364,7 +364,7 @@ def test_rff_under_noise_still_fits():
     X = np.random.default_rng(6).uniform(0, 2 * np.pi, size=(60, 2))
     noisy = surrogate_rff(config, params, X, D=4, seed=0, noise=NoiseConfig(shots=512, seed=9))
     clean = surrogate_rff(config, params, X, D=4, seed=0)
-    assert noisy.frequencies == clean.frequencies
+    assert np.array_equal(noisy.frequencies, clean.frequencies)
     assert not np.array_equal(noisy.cos_coeffs, clean.cos_coeffs)
     assert noisy.residual > 0
 
@@ -834,6 +834,20 @@ def test_lattice_kernel_hand_values():
     np.testing.assert_allclose(k2, [(np.cos(0.5) + np.cos(1.0)) / 2], atol=1e-15)
     with pytest.raises(ValueError):
         lattice_kernel([], deltas)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lattice_kernel([(1,)], np.zeros((3, 2))),
+        lambda: empirical_kernel_sup(SpectrumDescriptor((2, 2)), [(1,)], trial_points=5),
+        lambda: lattice_kernel([(1, 0), (1,)], np.zeros((3, 2))),
+    ],
+    ids=["kernel-deltas", "kernel-sup-spectrum", "ragged-sample"],
+)
+def test_kernel_dimension_errors_name_both_dimensions(call):
+    with pytest.raises(ValueError, match="every frequency must be 2 ints, got 1"):
+        call()
 
 
 def test_empirical_kernel_sup_exact_sample_is_noise_free():

@@ -1,6 +1,7 @@
 """Frequency-lattice enumeration, sampling, and grid construction tests."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from fourier_surrogates import (
     CircuitConfig,
     InsufficientSpectrum,
     SpectrumDescriptor,
+    build_real_design,
     canonical_count,
-    canonicalize,
     enumerate_canonical,
     full_grid,
     lattice_size,
@@ -20,12 +21,27 @@ from fourier_surrogates import (
     sample_distinct,
 )
 from fourier_surrogates.experiments import _derive
-from fourier_surrogates.spectrum import _box_index, _box_vectors
+from fourier_surrogates.spectrum import _box_index, _box_vectors, _frequency_array
 
 
 def _lattice(desc):
     """Every lattice vector once, in lexicographic order of the box."""
     return list(itertools.product(*(range(-w, w + 1) for w in desc.omega_max)))
+
+
+def canonicalize(freq):
+    """Flip the sign so the first nonzero component is positive (the vector-at-a-time oracle)."""
+    for v in freq:
+        if v > 0:
+            return tuple(freq)
+        if v < 0:
+            return tuple(-c for c in freq)
+    return tuple(freq)
+
+
+def _rows(W):
+    """The rows of a frequency array as tuples of Python ints."""
+    return [tuple(f) for f in W.tolist()]
 
 
 def _rejection_sample(desc, D, seed):
@@ -99,7 +115,7 @@ def test_canonicalize_examples():
 
 def test_enumerate_canonical_partitions_the_lattice():
     desc = SpectrumDescriptor((2, 1))
-    canon = enumerate_canonical(desc, cap=100)
+    canon = _rows(enumerate_canonical(desc, cap=100))
     assert len(canon) == canonical_count(desc)
     for f in canon:
         nz = [v for v in f if v != 0]
@@ -112,28 +128,28 @@ def test_enumerate_canonical_partitions_the_lattice():
 
 def test_sample_distinct_properties():
     desc = SpectrumDescriptor((2, 2))
-    out = sample_distinct(desc, 8, seed=5)
+    out = _rows(sample_distinct(desc, 8, seed=5))
     assert len(out) == 8
     assert len(set(out)) == 8
     for f in out:
         assert canonicalize(f) == f and any(f)
         assert all(abs(v) <= w for v, w in zip(f, desc.omega_max))
-    again = sample_distinct(desc, 8, seed=5)
+    again = _rows(sample_distinct(desc, 8, seed=5))
     assert out == again
-    assert sample_distinct(desc, 8, seed=6) != out
+    assert _rows(sample_distinct(desc, 8, seed=6)) != out
 
 
 def test_sample_distinct_prefix_property():
     desc = SpectrumDescriptor((3, 3, 3))
-    long = sample_distinct(desc, 40, seed=9)
+    long = _rows(sample_distinct(desc, 40, seed=9))
     for k in (1, 7, 23, 40):
-        assert sample_distinct(desc, k, seed=9) == long[:k]
+        assert _rows(sample_distinct(desc, k, seed=9)) == long[:k]
 
 
 def test_sample_distinct_can_exhaust_the_lattice():
     desc = SpectrumDescriptor((2, 2))
-    full = sample_distinct(desc, 12, seed=0)
-    assert sorted(full) == sorted(enumerate_canonical(desc, cap=100))
+    full = _rows(sample_distinct(desc, 12, seed=0))
+    assert sorted(full) == sorted(_rows(enumerate_canonical(desc, cap=100)))
 
 
 def test_sample_distinct_errors():
@@ -156,7 +172,7 @@ def test_sample_distinct_matches_rejection_sampler(omega_max):
     available = canonical_count(desc)
     for D in sorted({1, max(1, available // 3), available}):
         for seed in range(4):
-            assert sample_distinct(desc, D, seed) == _rejection_sample(desc, D, seed)
+            assert _rows(sample_distinct(desc, D, seed)) == _rejection_sample(desc, D, seed)
 
 
 def test_sample_distinct_matches_rejection_sampler_on_synth_shapes():
@@ -166,7 +182,7 @@ def test_sample_distinct_matches_rejection_sampler_on_synth_shapes():
         D = min(canonical_count(desc), 2 * d + 3)
         for s in range(5):
             seed = int(np.random.SeedSequence(s).spawn(3)[1].generate_state(1)[0])
-            assert sample_distinct(desc, D, seed) == _rejection_sample(desc, D, seed)
+            assert _rows(sample_distinct(desc, D, seed)) == _rejection_sample(desc, D, seed)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -175,14 +191,14 @@ def test_sample_distinct_matches_rejection_sampler_on_sweep_shapes(n):
     desc = omega_max_of(CircuitConfig(n_qubits=n, n_layers=2))
     D = min(10_000, canonical_count(desc))
     seed = _derive(0, n, 0, 3)
-    assert sample_distinct(desc, D, seed) == _rejection_sample(desc, D, seed)
+    assert _rows(sample_distinct(desc, D, seed)) == _rejection_sample(desc, D, seed)
 
 
 def test_sample_distinct_past_int64_box_indices():
     # 5**30 lattice vectors: box indices no longer fit in int64
     desc = SpectrumDescriptor((2,) * 30)
     assert lattice_size(desc) > np.iinfo(np.int64).max
-    assert sample_distinct(desc, 40, seed=2) == _rejection_sample(desc, 40, 2)
+    assert _rows(sample_distinct(desc, 40, seed=2)) == _rejection_sample(desc, 40, 2)
 
 
 @pytest.mark.parametrize(
@@ -191,7 +207,7 @@ def test_sample_distinct_past_int64_box_indices():
 def test_enumerate_canonical_matches_canonicalize_filter(omega_max):
     desc = SpectrumDescriptor(omega_max)
     want = [f for f in _lattice(desc) if any(f) and canonicalize(f) == f]
-    assert enumerate_canonical(desc, cap=lattice_size(desc)) == want
+    assert _rows(enumerate_canonical(desc, cap=lattice_size(desc))) == want
 
 
 @st.composite
@@ -215,6 +231,74 @@ def test_box_index_round_trips(box_and_index):
         assert any(f) and canonicalize(f) == f
     elif i == N // 2:
         assert not any(f)
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [
+        [(1, 0), (0, -2)],
+        [[1, 0], [0, -2]],
+        np.array([[1, 0], [0, -2]]),
+        np.array([[1, 0], [0, -2]], dtype=np.int8),
+        np.array([[1, 0], [0, -2]], order="F"),
+    ],
+    ids=["tuples", "lists", "array", "int8", "fortran"],
+)
+def test_frequency_array_accepts_each_input_form(freqs):
+    W = _frequency_array(freqs)
+    assert W.dtype == np.int64 and W.shape == (2, 2)
+    assert W.flags.c_contiguous and not W.flags.writeable
+    assert W.tolist() == [[1, 0], [0, -2]]
+    assert _frequency_array(freqs, 2).tolist() == W.tolist()
+
+
+def test_frequency_array_copies_writeable_input_only():
+    mine = np.array([[1, 0], [0, -2]])
+    W = _frequency_array(mine)
+    mine[0, 0] = 7
+    assert W.tolist() == [[1, 0], [0, -2]]
+    # the read-only form it returns, and spectrum's own arrays, pass through
+    assert _frequency_array(W) is W
+    canon = enumerate_canonical(SpectrumDescriptor((1, 2)), cap=100)
+    assert not canon.flags.writeable
+    assert _frequency_array(canon, 2) is canon
+
+
+def test_frequency_array_empty_input_needs_d():
+    assert _frequency_array([], 3).shape == (0, 3)
+    assert _frequency_array(np.zeros((0, 3), dtype=int), 3).shape == (0, 3)
+    with pytest.raises(ValueError, match="no frequencies supplied"):
+        _frequency_array([])
+
+
+@st.composite
+def _frequency_arrays(draw):
+    """(D, d) int arrays of mostly canonical rows, with drawn sign flips and zero rows."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([1, 1, 1, -1, 0]), min_size=n, max_size=n))
+    canonical = np.array([canonicalize(f) for f in rows], dtype=np.int64)
+    return canonical * np.array(signs)[:, None]
+
+
+@given(_frequency_arrays())
+def test_real_design_canonical_check_matches_oracle(W):
+    rows = _rows(W)
+    ok = [canonicalize(f) == f and any(f) for f in rows]
+    points = np.zeros((1, W.shape[1]))
+    if all(ok):
+        assert np.array_equal(build_real_design(points, W).column_frequencies, W)
+        return
+    first = rows[ok.index(False)]
+    if any(first):
+        match = re.escape(f"frequency {first} is not canonical (first nonzero must be > 0)")
+    else:
+        match = "zero frequency not allowed"
+    with pytest.raises(ValueError, match=match):
+        build_real_design(points, W)
+    with pytest.raises(ValueError, match=match):
+        build_real_design(points, rows)
 
 
 def test_full_grid_structure():

@@ -24,6 +24,7 @@ from fourier_surrogates import (
     mse,
     predict_batch,
     surrogate_exact,
+    surrogate_rff,
 )
 from fourier_surrogates.cli import _write_json
 
@@ -37,7 +38,7 @@ def test_complex_design_entries_by_hand():
     freqs = [(1, 0), (0, 2)]
     design = build_complex_design(pts, freqs)
     assert design.basis == "complex-exponential"
-    assert design.column_frequencies == ((1, 0), (0, 2))
+    assert np.array_equal(design.column_frequencies, ((1, 0), (0, 2)))
     want = np.array(
         [
             [1.0, 1.0],
@@ -247,6 +248,10 @@ def test_model_validation():
         ((2, 2), ((1,),), "every frequency must be 2 ints"),
         ((2, 2), ((1, 0), (1, 0, 1)), "every frequency must be 2 ints"),
         ((2, 2), ((1.0, 0),), "every frequency must be 2 ints"),
+        ((2, 2), ((True, 0),), "every frequency must be 2 ints, got bool"),
+        ((2, 2), ((2**63, 0),), "every frequency must be 2 ints within int64"),
+        ((2, 2), np.array([[1.0, 0.0]]), "every frequency must be 2 ints, got float64"),
+        ((2, 2), np.array([[1, 0, 1]]), "every frequency must be 2 ints, got 3"),
     ],
 )
 def test_model_frequencies_have_d_integer_entries(omega_max, frequencies, match):
@@ -256,6 +261,34 @@ def test_model_frequencies_have_d_integer_entries(omega_max, frequencies, match)
             cos_coeffs=np.zeros(len(frequencies)), sin_coeffs=np.zeros(len(frequencies)),
             mode="rff", residual=0.0,
         )
+
+
+def test_model_frequencies_are_one_read_only_int64_array():
+    config = CircuitConfig(n_qubits=2, n_layers=1)
+    params = ParameterSet.random(config, seed=3)
+    X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(12, 2))
+    routes = {
+        "surrogate_exact": (surrogate_exact(config, params), 4),
+        "surrogate_rff": (surrogate_rff(config, params, X, D=3, seed=1), 3),
+        "from_json_dict": (SurrogateModel.from_json_dict(_toy_model().to_json_dict()), 2),
+        "tuples": (_toy_model(), 2),
+        "zero-term": (SurrogateModel(
+            d=3, omega_max=(1, 1, 1), intercept=0.5, frequencies=(),
+            cos_coeffs=np.zeros(0), sin_coeffs=np.zeros(0), mode="rff", residual=0.0,
+        ), 0),
+    }
+    for name, (model, D) in routes.items():
+        W = model.frequencies
+        assert W.dtype == np.int64 and W.shape == (D, model.d), name
+        assert W.flags.c_contiguous and not W.flags.writeable, name
+    # the model keeps no reference to a caller's writeable array
+    mine = np.array([[1, 0], [1, -1]])
+    model = SurrogateModel(
+        d=2, omega_max=(2, 2), intercept=0.0, frequencies=mine,
+        cos_coeffs=np.ones(2), sin_coeffs=np.zeros(2), mode="rff", residual=0.0,
+    )
+    mine[1] = (2, 2)
+    assert model.frequencies.tolist() == [[1, 0], [1, -1]]
 
 
 def test_wire_format_shape():
@@ -277,7 +310,7 @@ def test_model_round_trips_exactly(tmp_path):
     assert text.endswith("\n")
     json.loads(text)
     again = load_model(path)
-    assert again.frequencies == model.frequencies
+    assert np.array_equal(again.frequencies, model.frequencies)
     assert again.mode == model.mode
     assert again.fingerprint == model.fingerprint
     X = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(20, 2))
@@ -312,8 +345,9 @@ def test_drawn_models_round_trip_through_disk(model):
         again = load_model(first)
         _write_json(second, again.to_json_dict())
         assert second.read_bytes() == first.read_bytes()
-    for name in ("d", "omega_max", "intercept", "frequencies", "mode", "residual", "fingerprint"):
+    for name in ("d", "omega_max", "intercept", "mode", "residual", "fingerprint"):
         assert getattr(again, name) == getattr(model, name), name
+    assert np.array_equal(again.frequencies, model.frequencies)
     np.testing.assert_array_equal(again.cos_coeffs, model.cos_coeffs)
     np.testing.assert_array_equal(again.sin_coeffs, model.sin_coeffs)
 
