@@ -203,6 +203,8 @@ def sweep(
         raise ValueError("quantity must be 'frequencies' or 'datapoints'")
     if seeds < 1:
         raise ValueError("at least one seed is required")
+    if max_frequencies < 1:
+        raise ValueError("max_frequencies must be at least 1")
     if noise_sd <= 0:
         raise ValueError("noise_sd must be positive (it sets the reference MSE)")
     thresholds = [float(t) for t in thresholds]
@@ -344,6 +346,10 @@ def showcase(
     model's test MSE, the surrogate's (median over seeds), and the
     fraction of the frequency lattice the surrogate consumed.
     """
+    if seeds < 1:
+        raise ValueError("at least one seed is required")
+    if n_frequencies < 1:
+        raise ValueError("n_frequencies must be at least 1")
     config = CircuitConfig(n_qubits=n_qubits, n_layers=n_layers)
     noise = NoiseConfig(shots=shots, depolarizing_p=depolarizing, seed=_derive(base_seed, 13))
     desc = omega_max_of(config)

@@ -9,17 +9,11 @@ fits it on the real [1 | cos | sin] basis over sampled canonical
 frequencies, solved by an SVD pseudoinverse with relative singular-value
 truncation.  The exact route (``pipeline.surrogate_exact``) builds no
 design matrix: it reads the coefficients off an FFT of grid values.
-
-The complex-exponential basis exp(-i w.x) over a full, conjugate-closed
-lattice and ``complex_fit_to_real`` remain as the dense equivalent of
-that FFT: for a real-valued target, c_{-w} = conj(c_w), so
-a_w = 2 Re c_w and b_w = 2 Im c_w.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +24,8 @@ __all__ = [
     "DEFAULT_RCOND",
     "DesignMatrix",
     "SurrogateModel",
-    "build_complex_design",
     "build_real_design",
     "fit",
-    "complex_fit_to_real",
     "evaluate_terms",
     "predict_batch",
     "mse",
@@ -42,43 +34,19 @@ __all__ = [
 
 DEFAULT_RCOND = 1e-10
 
-#: absolute imaginary residue above which a complex fit of real data is
-#: flagged as non-conjugate-closed
-IMAG_LEAK_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Sample-by-basis matrix together with its column bookkeeping.
+    """The real [1 | cos | sin] design together with its frequencies.
 
-    ``basis`` is ``"complex-exponential"`` (one column per lattice
-    vector, entry exp(-i w.x)) or ``"real-trig"`` (intercept column
-    followed by a cos/sin pair per canonical frequency).
-    ``column_frequencies`` is the (D, d) frequency array; in the real
-    basis it lists each canonical frequency once (two columns each,
-    after the intercept).
+    ``entries`` has an intercept column followed by a cos/sin pair per
+    frequency; ``column_frequencies`` is the (D, d) array of canonical
+    frequencies, each listed once (two columns each, after the
+    intercept).
     """
 
     entries: np.ndarray
-    basis: str
     column_frequencies: np.ndarray
-
-
-def _as_points(points: np.ndarray, d: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("no sample points supplied")
-    if pts.shape[1] != d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, frequencies {d}")
-    return pts
-
-
-def build_complex_design(points: np.ndarray, freqs) -> DesignMatrix:
-    """Design with entry (j, k) = exp(-i * freqs[k] . points[j])."""
-    W = _frequency_array(freqs)
-    pts = _as_points(points, W.shape[1])
-    entries = np.exp(-1j * (pts @ W.astype(float).T))
-    return DesignMatrix(entries=entries, basis="complex-exponential", column_frequencies=W)
 
 
 def build_real_design(points: np.ndarray, canonical_freqs) -> DesignMatrix:
@@ -95,14 +63,18 @@ def build_real_design(points: np.ndarray, canonical_freqs) -> DesignMatrix:
             raise ValueError("zero frequency not allowed; intercept column covers it")
         f = tuple(W[bad[0]].tolist())
         raise ValueError(f"frequency {f} is not canonical (first nonzero must be > 0)")
-    pts = _as_points(points, W.shape[1])
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
+        raise ValueError("no sample points supplied")
+    if pts.shape[1] != W.shape[1]:
+        raise ValueError(f"points have dimension {pts.shape[1]}, frequencies {W.shape[1]}")
     phases = pts @ W.astype(float).T
     rows, D = phases.shape
     entries = np.empty((rows, 1 + 2 * D))
     entries[:, 0] = 1.0
     entries[:, 1::2] = np.cos(phases)
     entries[:, 2::2] = np.sin(phases)
-    return DesignMatrix(entries=entries, basis="real-trig", column_frequencies=W)
+    return DesignMatrix(entries=entries, column_frequencies=W)
 
 
 def fit(
@@ -111,8 +83,8 @@ def fit(
     """Minimum-norm least squares via SVD pseudoinverse.
 
     Singular values below ``rcond * sigma_max`` are truncated.  Returns
-    the coefficient vector (complex or real, matching the basis) and the
-    2-norm of the residual A c - y.
+    the coefficient vector, in the design's dtype, and the 2-norm of the
+    residual A c - y.
     """
     A = design.entries
     y = np.asarray(y, dtype=float)
@@ -193,48 +165,6 @@ class SurrogateModel:
             residual=float(doc["residual"]),
             fingerprint=doc.get("fingerprint"),
         )
-
-
-def complex_fit_to_real(
-    freqs, coeffs: np.ndarray
-) -> tuple[float, list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Fold complex-exponential coefficients into intercept + (a, b) pairs.
-
-    Keeps the coefficient of each canonical lattice vector and drops its
-    conjugate partner; a warning is emitted if the imaginary part that
-    realness should cancel exceeds IMAG_LEAK_TOL (a sign the frequency
-    set was not conjugate-closed).
-    """
-    vectors = list(map(tuple, _frequency_array(freqs).tolist()))
-    index = {f: k for k, f in enumerate(vectors)}
-    coeffs = np.asarray(coeffs)
-    intercept = 0.0
-    zero = (0,) * len(vectors[0])
-    if zero in index:
-        c0 = coeffs[index[zero]]
-        intercept = float(np.real(c0))
-        leak = abs(np.imag(c0))
-    else:
-        leak = 0.0
-    canon: list[tuple[int, ...]] = []
-    a_list, b_list = [], []
-    for f in vectors:
-        conj_partner = tuple(-v for v in f)
-        if f <= conj_partner:  # zero, or the first nonzero entry is negative
-            continue
-        c = coeffs[index[f]]
-        if conj_partner in index:
-            leak = max(leak, abs(coeffs[index[conj_partner]] - np.conj(c)))
-        canon.append(f)
-        a_list.append(2.0 * float(np.real(c)))
-        b_list.append(2.0 * float(np.imag(c)))
-    if leak > IMAG_LEAK_TOL:
-        warnings.warn(
-            f"imaginary leakage {leak:.2e} in complex fit of real data; "
-            "frequency set may not be conjugate-closed",
-            stacklevel=2,
-        )
-    return intercept, canon, np.asarray(a_list), np.asarray(b_list)
 
 
 def evaluate_terms(

@@ -6,6 +6,7 @@ and the exit code. One subprocess test checks the module entry point.
 """
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -490,6 +491,16 @@ def test_zero_frequency_budget_exits_4(tmp_path):
     assert rc == 4
 
 
+def test_showcase_without_seeds_exits_4_and_writes_no_report(tmp_path, capsys):
+    rc = run_cli("showcase", "--qubits", 2, "--size", 20, "--frequencies", 3,
+                 "--seeds", 0, "--train-iters", 0, "--out-dir", tmp_path)
+    assert rc == 4
+    err = last_stderr_json(capsys)
+    assert err["error"] == "ValueError"
+    assert "at least one seed is required" in err["message"]
+    assert not (tmp_path / "showcase.json").exists()
+
+
 @pytest.mark.parametrize("p", [-0.5, 1.5])
 def test_depolarizing_outside_unit_interval_exits_4(tmp_path, capsys, p):
     assert run_cli("datagen", "--dimension", 1, "--size", 10,
@@ -501,6 +512,57 @@ def test_depolarizing_outside_unit_interval_exits_4(tmp_path, capsys, p):
     err = last_stderr_json(capsys)
     assert err["error"] == "ValueError"
     assert "depolarizing_p" in err["message"]
+
+
+# ------------------------------------------------------------- defaults
+
+#: (argv that parses, library callable, {CLI dest: library parameter}) for
+#: every CLI default that repeats a library default
+_MIRRORED_DEFAULTS = [
+    (["showcase"], fs.showcase, {
+        "qubits": "n_qubits", "layers": "n_layers", "size": "dataset_size",
+        "frequencies": "n_frequencies", "seeds": "seeds", "train_iters": "train_iters",
+        "learning_rate": "learning_rate", "noise_sd": "noise_sd",
+        "train_fraction": "train_fraction", "depolarizing": "depolarizing",
+    }),
+    (["sweep", "--quantity", "frequencies", "--qubits", 1], fs.sweep, {
+        "thresholds": "thresholds", "seeds": "seeds", "layers": "n_layers",
+        "dataset_size": "dataset_size", "train_fraction": "train_fraction",
+        "max_frequencies": "max_frequencies", "noise_sd": "noise_sd",
+        "depolarizing": "depolarizing",
+    }),
+    (["train", "--dataset", "d.json", "--qubits", 1], fs.TrainConfig, {
+        "learning_rate": "learning_rate", "max_iters": "max_iters", "tol": "tol",
+        "shots": "shots",
+    }),
+    (["datagen", "--dimension", 1, "--size", 1], fs.synth_generate, {
+        "kind": "kind", "noise_sd": "noise_sd",
+    }),
+    (["estimate", "--qubits", 1], fs.estimate_memory, {"bytes_per_entry": "bytes_per_entry"}),
+    (["bounds", "--epsilon", 0.1], fs.BoundParams, {
+        "c1": "c1", "c2": "c2", "domain_size": "domain_size",
+    }),
+    (["bounds", "--epsilon", 0.1], fs.empirical_kernel_sup, {"trial_points": "trial_points"}),
+    (["surrogate", "rff", "--dataset", "d.json"], fs.NoiseConfig, {
+        "depolarizing": "depolarizing_p",
+    }),
+    (["surrogate", "rff", "--dataset", "d.json"], fs.surrogate_rff, {"rcond": "rcond"}),
+]
+
+
+def test_cli_defaults_equal_the_library_defaults_they_mirror():
+    """A drift guard: both sides are read, argparse's and inspect.signature's."""
+    drifted = []
+    for argv, func, pairs in _MIRRORED_DEFAULTS:
+        parsed = vars(cli._build_parser().parse_args([str(a) for a in argv]))
+        params = inspect.signature(func).parameters
+        for dest, name in pairs.items():
+            ours, theirs = parsed[dest], params[name].default
+            if isinstance(theirs, tuple):
+                ours = tuple(ours)
+            if ours != theirs or type(ours) is not type(theirs):
+                drifted.append((argv[0], dest, ours, func.__name__, name, theirs))
+    assert drifted == []
 
 
 # ------------------------------------------------------------- logging

@@ -166,6 +166,23 @@ def test_sweep_validation():
         _tiny_sweep(noise_sd=0.0)
     with pytest.raises(ValueError):
         _tiny_sweep(train_fraction=0.999)
+    with pytest.raises(ValueError, match="max_frequencies"):
+        _tiny_sweep(max_frequencies=0)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [({"seeds": 0}, "at least one seed is required"), ({"n_frequencies": 0}, "n_frequencies")],
+)
+def test_showcase_rejects_an_empty_ensemble_before_training(monkeypatch, overrides, match):
+    def no_training(*args, **kwargs):
+        raise AssertionError("showcase trained before checking its arguments")
+
+    monkeypatch.setattr(experiments, "train", no_training)
+    kw = dict(n_qubits=1, n_layers=1, dataset_size=20, n_frequencies=1, seeds=1, train_iters=1)
+    kw.update(overrides)
+    with pytest.raises(ValueError, match=match):
+        showcase(**kw)
 
 
 def test_negative_depolarizing_is_rejected():

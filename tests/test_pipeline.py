@@ -22,9 +22,7 @@ from fourier_surrogates import (
     bound_beta_d,
     bound_lrr_features,
     bound_min_features,
-    build_complex_design,
     canonical_count,
-    complex_fit_to_real,
     empirical_kernel_sup,
     enumerate_canonical,
     estimate_memory,
@@ -45,6 +43,7 @@ from fourier_surrogates import (
 )
 from fourier_surrogates import pipeline, simulator
 from fourier_surrogates.simulator import mse_gradient
+from dense_oracle import build_complex_design, complex_fit_to_real
 from test_simulator import (
     _per_row_sampler,
     row_major_mse_gradient,

@@ -22,6 +22,7 @@ from fourier_surrogates import (
 )
 from fourier_surrogates.experiments import _derive
 from fourier_surrogates.spectrum import _box_index, _box_vectors, _frequency_array
+from dense_oracle import build_complex_design
 
 
 def _lattice(desc):
@@ -320,8 +321,6 @@ def test_full_grid_cap():
 
 def test_full_grid_makes_design_orthogonal():
     # on the matched grid the complex design is a scaled unitary: A^H A = N I
-    from fourier_surrogates import build_complex_design
-
     desc = SpectrumDescriptor((1, 1))
     grid = full_grid(desc)
     lattice = _lattice(desc)
