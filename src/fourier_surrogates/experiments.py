@@ -15,11 +15,12 @@ Gaussian jitter, so the quantum reference MSE sits at the jitter floor
 and the deviation directly measures how much surrogation gives up
 against it. Per qubit count and threshold it finds the minimal number
 of sampled frequencies (or training datapoints) whose deviation stays
-under the threshold. Per seed the deviation is probed over a growing
-prefix of one frequency draw (or one row shuffle): ``sample_distinct``
-is ordered by draw, so the first D frequencies of one long draw are
-exactly the D-frequency draw, which lets a bracket-plus-bisection
-search reuse one design matrix. The reported requirement is the median
+under the threshold. Per seed a bracket-plus-bisection search probes
+prefixes of one frequency draw (or one row shuffle): ``sample_distinct``
+is ordered by draw, so a probe at D frequencies draws just D and gets
+the first D of every longer draw, while a probe at q rows fits the first
+q rows of one design built once per seed. Every probe solves through
+``surrogate.fit``. The reported requirement is the median
 of the per-seed minima; under per-seed monotonicity of the deviation in
 the probed quantity this equals the smallest quantity whose median
 deviation clears the threshold.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .datasets import rescale_targets, synth_generate, train_test_split
 from .pipeline import TrainConfig, _fit_rff, fingerprint_of, train
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import canonical_count, lattice_size, omega_max_of, sample_distinct
-from .surrogate import DEFAULT_RCOND, build_real_design, mse
+from .surrogate import DEFAULT_RCOND, build_real_design, fit, mse
 
 __all__ = [
     "SweepReport",
@@ -104,25 +105,6 @@ class SweepReport:
             "fits": list(self.fits),
             "config": self.config,
         }
-
-
-class _LazyRealDesign:
-    """Cos/sin design over fixed rows whose columns grow with the frequency prefix."""
-
-    def __init__(self, X: np.ndarray, freqs):
-        self.X = np.asarray(X, dtype=float)
-        self.freqs = freqs
-        self._mat = np.ones((self.X.shape[0], 1))
-        self._built = 0
-
-    def matrix(self, D: int) -> np.ndarray:
-        if D > len(self.freqs):
-            raise ValueError(f"only {len(self.freqs)} frequencies available")
-        if D > self._built:
-            block = build_real_design(self.X, self.freqs[self._built : D]).entries[:, 1:]
-            self._mat = np.hstack([self._mat, block])
-            self._built = D
-        return self._mat[:, : 1 + 2 * D]
 
 
 def _minimal_quantity(deviation, lo: int, hi: int, threshold: float):
@@ -205,14 +187,18 @@ def sweep(
         raise ValueError("at least one seed is required")
     if max_frequencies < 1:
         raise ValueError("max_frequencies must be at least 1")
-    if noise_sd <= 0:
-        raise ValueError("noise_sd must be positive (it sets the reference MSE)")
+    if not 0 < noise_sd < math.inf:
+        raise ValueError("noise_sd must be positive and finite (it sets the reference MSE)")
     thresholds = [float(t) for t in thresholds]
-    if not thresholds or any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
+    if not thresholds or not all(0 < t < math.inf for t in thresholds):
+        raise ValueError("thresholds must be positive and finite")
+    if len(set(thresholds)) < len(thresholds):
+        raise ValueError("thresholds must be distinct")
     qubits = sorted(int(n) for n in qubit_range)
     if not qubits:
         raise ValueError("empty qubit range")
+    if len(set(qubits)) < len(qubits):
+        raise ValueError("qubit counts must be distinct")
     n_train = int(round(train_fraction * dataset_size))
     if n_train < 1 or n_train >= dataset_size:
         raise ValueError("train_fraction leaves an empty split")
@@ -221,8 +207,7 @@ def sweep(
     for n in qubits:
         config = CircuitConfig(n_qubits=n, n_layers=n_layers)
         desc = omega_max_of(config)
-        canon = canonical_count(desc)
-        d_cap = min(int(max_frequencies), canon)
+        d_cap = min(int(max_frequencies), canonical_count(desc))
         X = np.random.default_rng(_derive(base_seed, n, 0)).random((dataset_size, n))
         perm = np.random.default_rng(_derive(base_seed, n, 1)).permutation(dataset_size)
         X_train = X[perm[:n_train]]
@@ -230,7 +215,7 @@ def sweep(
         per_threshold = {t: [] for t in thresholds}
         for s in range(seeds):
             params = ParameterSet.random(config, seed=_derive(base_seed, n, s, 2))
-            freqs = sample_distinct(desc, d_cap, seed=_derive(base_seed, n, s, 3))
+            freq_seed = _derive(base_seed, n, s, 3)
             X_fit = X_train
             if quantity == "datapoints":
                 order = np.random.default_rng(
@@ -246,32 +231,29 @@ def sweep(
                 _derive(base_seed, n, s, 6)
             ).normal(0.0, noise_sd, f_test.shape)
             mse_q = float(np.mean((f_test - y_test) ** 2))
-            design_fit = _LazyRealDesign(X_fit, freqs)
-            design_test = _LazyRealDesign(X_test, freqs)
+
+            def designs(D: int):
+                freqs = sample_distinct(desc, D, seed=freq_seed)
+                return build_real_design(X_fit, freqs), build_real_design(X_test, freqs).entries
+
+            pinned = designs(d_cap) if quantity == "datapoints" else None
             cache: dict[int, float] = {}
 
             def deviation(q: int) -> float:
                 if q not in cache:
                     if quantity == "frequencies":
-                        A = design_fit.matrix(q)
-                        target = f_fit
-                        D = q
+                        design, test = designs(q)
                     else:
-                        A = design_fit.matrix(d_cap)[:q]
-                        target = f_fit[:q]
-                        D = d_cap
-                    coef, _, _, _ = np.linalg.lstsq(A, target, rcond=DEFAULT_RCOND)
-                    pred = design_test.matrix(D) @ coef
-                    mse_s = float(np.mean((pred - y_test) ** 2))
+                        design, test = pinned
+                        design = replace(design, entries=design.entries[:q])
+                    coef, _ = fit(design, f_fit[: len(design.entries)])
+                    mse_s = float(np.mean((test @ coef - y_test) ** 2))
                     cache[q] = (mse_s - mse_q) / mse_q if mse_q > 0 else math.inf
                 return cache[q]
 
-            if quantity == "frequencies":
-                lo, hi = 1, d_cap
-            else:
-                lo, hi = 1, n_train
+            hi = d_cap if quantity == "frequencies" else n_train
             for t in thresholds:
-                per_threshold[t].append(_minimal_quantity(deviation, lo, hi, t))
+                per_threshold[t].append(_minimal_quantity(deviation, 1, hi, t))
         for t in thresholds:
             records.append(_summarize(per_threshold[t], n, t, seeds))
 

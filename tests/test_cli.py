@@ -491,6 +491,27 @@ def test_zero_frequency_budget_exits_4(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--qubits", 2, 2], "qubit counts must be distinct"),
+        (["--qubits", 1, 2, "--thresholds", 0.5, 0.5], "thresholds must be distinct"),
+        (["--qubits", 1, 2, "--thresholds", "nan"], "thresholds must be positive and finite"),
+        (["--qubits", 1, 2, "--noise-sd", "nan"], "noise_sd must be positive and finite"),
+    ],
+)
+def test_sweep_arguments_it_cannot_honour_exit_4_and_write_no_report(
+    tmp_path, capsys, flags, message
+):
+    rc = run_cli("sweep", "--quantity", "frequencies", *flags, "--seeds", 1,
+                 "--layers", 1, "--dataset-size", 20, "--out-dir", tmp_path)
+    assert rc == 4
+    err = last_stderr_json(capsys)
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_showcase_without_seeds_exits_4_and_writes_no_report(tmp_path, capsys):
     rc = run_cli("showcase", "--qubits", 2, "--size", 20, "--frequencies", 3,
                  "--seeds", 0, "--train-iters", 0, "--out-dir", tmp_path)

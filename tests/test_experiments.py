@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from fourier_surrogates import (
-    SpectrumDescriptor,
-    build_real_design,
     expectation_batch,
     linear_fit,
-    sample_distinct,
     showcase,
     surrogate_rff,
     sweep,
     sweep_to_csv,
 )
 from fourier_surrogates import experiments
-from fourier_surrogates.experiments import _derive, _LazyRealDesign, _minimal_quantity
+from fourier_surrogates.experiments import _derive, _minimal_quantity
+import sweep_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +55,8 @@ def test_linear_fit_r2_reflects_scatter():
 
 
 # ---------------------------------------------------------------------------
-# incremental design and the bracket search
+# the bracket search
 # ---------------------------------------------------------------------------
-
-
-def test_lazy_design_matches_direct_construction():
-    desc = SpectrumDescriptor((2, 2))
-    freqs = sample_distinct(desc, 10, seed=3)
-    X = np.random.default_rng(1).random((15, 2))
-    lazy = _LazyRealDesign(X, freqs)
-    for D in (1, 4, 4, 10, 7):  # growth, reuse, and backtrack
-        direct = build_real_design(X, freqs[:D]).entries
-        np.testing.assert_array_equal(lazy.matrix(D), direct)
-    with pytest.raises(ValueError):
-        lazy.matrix(11)
 
 
 def test_minimal_quantity_finds_exact_boundary():
@@ -151,7 +137,11 @@ def test_sweep_datapoints_mode():
             assert rec["required_quantity"] <= 0.7 * 60
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("sweep ran a circuit before checking its arguments")
+
+    monkeypatch.setattr(experiments, "expectation_batch", no_circuit)
     with pytest.raises(ValueError):
         _tiny_sweep(quantity="other")
     with pytest.raises(ValueError):
@@ -168,6 +158,38 @@ def test_sweep_validation():
         _tiny_sweep(train_fraction=0.999)
     with pytest.raises(ValueError, match="max_frequencies"):
         _tiny_sweep(max_frequencies=0)
+    for qubits in ((2, 2), (1, 2, 1)):
+        with pytest.raises(ValueError, match="qubit counts must be distinct"):
+            _tiny_sweep(qubit_range=qubits)
+    with pytest.raises(ValueError, match="thresholds must be distinct"):
+        _tiny_sweep(thresholds=(0.5, 0.5))
+    for thresholds in ((float("nan"),), (0.5, float("inf"))):
+        with pytest.raises(ValueError, match="thresholds must be positive and finite"):
+            _tiny_sweep(thresholds=thresholds)
+    for noise_sd in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sd must be positive and finite"):
+            _tiny_sweep(noise_sd=noise_sd)
+
+
+@pytest.mark.parametrize("quantity", ["frequencies", "datapoints"])
+@pytest.mark.parametrize(
+    "noise", [{}, {"shots": 64}, {"depolarizing": 0.02}, {"shots": 64, "depolarizing": 0.02}]
+)
+def test_sweep_matches_the_growing_design_oracle_byte_for_byte(quantity, noise):
+    # max_frequencies past every canonical count (1, 4 and 13 at n = 1, 2, 3
+    # with one layer) pins d_cap to the whole canonical set, so a saturated
+    # frequencies cell probes a draw of all of it
+    saturated = 0
+    for base_seed in range(5):
+        kw = dict(
+            quantity=quantity, qubit_range=(1, 2, 3), thresholds=(1e-9, 0.1, 0.5),
+            seeds=3, n_layers=1, dataset_size=60, max_frequencies=100,
+            base_seed=base_seed, **noise,
+        )
+        got = json.dumps(sweep(**kw).to_json_dict())
+        assert got == json.dumps(sweep_oracle.sweep(**kw).to_json_dict())
+        saturated += sum(r["n_saturated"] for r in json.loads(got)["records"])
+    assert saturated > 0 or not noise
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Design matrices, least-squares fitting, and the surrogate wire format."""
 
+import ast
 import itertools
 import json
 import tempfile
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fourier_surrogates
 from fourier_surrogates import (
     CircuitConfig,
     ParameterSet,
@@ -150,6 +152,25 @@ def test_fit_validation():
         fit(design, np.zeros(3), rcond=0.0)
     with pytest.raises(ValueError):
         fit(design, np.zeros(3), rcond=1.5)
+
+
+def test_fit_is_the_one_least_squares_solve_in_the_package():
+    """Every lstsq call in src/ sits in surrogate.fit, so there is one solve path."""
+    calls = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "lstsq" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            calls.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(fourier_surrogates.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert calls == [("surrogate", "fit")]
 
 
 # ---------------------------------------------------------------------------
