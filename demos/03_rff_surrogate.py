@@ -44,10 +44,9 @@ for D in (5, 10, 20, 40, 80):
 small = CircuitConfig(n_qubits=2, n_layers=2)
 small_params = ParameterSet.random(small, seed=9)
 small_desc = omega_max_of(small)
-grid = full_grid(small_desc)
 exact = surrogate_exact(small, small_params)
 full = surrogate_rff(
-    small, small_params, grid.points, D=canonical_count(small_desc), seed=0
+    small, small_params, full_grid(small_desc), D=canonical_count(small_desc), seed=0
 )
 pts = rng.uniform(0.0, 2.0 * np.pi, size=(200, 2))
 gap = np.max(np.abs(predict_batch(full, pts) - predict_batch(exact, pts)))

@@ -76,9 +76,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # streamed: a large model's text built whole before writing holds hundreds of MB
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError:  # NaN or infinity: the document is refused and leaves no file
+        path.unlink()
+        raise
 
 
 class _Run:
@@ -330,17 +335,6 @@ def cmd_bounds(args) -> None:
         d = desc.d
     else:
         raise _UsageError("provide --sigma-p with --dimension, --omega-max, or --qubits")
-    if args.kernel_sup_term is not None:
-        sup_term = args.kernel_sup_term
-    elif desc is not None:
-        sup_term, _ = empirical_kernel_sup(
-            desc,
-            enumerate_canonical(desc, cap=args.cap),
-            trial_points=args.trial_points,
-            seed=args.seed,
-        )
-    else:
-        raise _UsageError("provide --kernel-sup-term when no spectrum is given")
     params = BoundParams(
         d=d,
         epsilon=args.epsilon,
@@ -353,6 +347,18 @@ def cmd_bounds(args) -> None:
         n_layers=args.layers,
         domain_size=args.domain_size,
     )
+    if args.kernel_sup_term is not None:
+        sup_term = args.kernel_sup_term
+    elif desc is not None:
+        sup_term, _ = empirical_kernel_sup(
+            desc,
+            enumerate_canonical(desc, cap=args.cap),
+            trial_points=args.trial_points,
+            seed=args.seed,
+            cap=args.cap,
+        )
+    else:
+        raise _UsageError("provide --kernel-sup-term when no spectrum is given")
     alpha = bound_alpha_epsilon(args.epsilon, sup_term)
     doc = {
         "d": d,

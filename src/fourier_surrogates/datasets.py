@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -242,15 +243,15 @@ def dbscan(ds: Dataset, eps: float, min_pts: int) -> tuple[np.ndarray, Dataset]:
     every row is noise, ValueError is raised instead, since an empty
     dataset has no rows to train on and no feature count in its JSON.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
     X = ds.X
     n = ds.n_rows
-    sq_dists = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
-    within = sq_dists <= eps * eps
-    neighbor_lists = [np.flatnonzero(within[i]) for i in range(n)]
+    neighbor_lists = [
+        np.flatnonzero(np.sum((X - X[i]) ** 2, axis=1) <= eps * eps) for i in range(n)
+    ]
     core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
     labels = np.full(n, -1, dtype=int)
     cluster = 0
@@ -299,6 +300,8 @@ def synth_generate(
         raise ValueError("d and size must be at least 1")
     if kind not in ("trig-poly", "circuit"):
         raise ValueError(f"unknown kind {kind!r}")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError("noise_sd must be non-negative and finite")
     ss = np.random.SeedSequence(seed)
     x_ss, model_ss, noise_ss = ss.spawn(3)
     X = np.random.default_rng(x_ss).random((size, d))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .datasets import rescale_targets, synth_generate, train_test_split
 from .pipeline import TrainConfig, _fit_rff, fingerprint_of, train
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import canonical_count, lattice_size, omega_max_of, sample_distinct
-from .surrogate import DEFAULT_RCOND, build_real_design, fit, mse
+from .surrogate import DEFAULT_RCOND, DesignMatrix, build_real_design, fit, mse
 
 __all__ = [
     "SweepReport",
@@ -199,6 +199,8 @@ def sweep(
         raise ValueError("empty qubit range")
     if len(set(qubits)) < len(qubits):
         raise ValueError("qubit counts must be distinct")
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
     n_train = int(round(train_fraction * dataset_size))
     if n_train < 1 or n_train >= dataset_size:
         raise ValueError("train_fraction leaves an empty split")
@@ -244,8 +246,7 @@ def sweep(
                     if quantity == "frequencies":
                         design, test = designs(q)
                     else:
-                        design, test = pinned
-                        design = replace(design, entries=design.entries[:q])
+                        design, test = DesignMatrix(pinned[0].entries[:q]), pinned[1]
                     coef, _ = fit(design, f_fit[: len(design.entries)])
                     mse_s = float(np.mean((test @ coef - y_test) ** 2))
                     cache[q] = (mse_s - mse_q) / mse_q if mse_q > 0 else math.inf

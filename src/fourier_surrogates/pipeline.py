@@ -349,14 +349,14 @@ class TrainConfig:
     tol: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive when given")
-        if self.tol < 0:
-            raise ValueError("tol must be non-negative")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be non-negative and finite")
 
 
 def train(
@@ -459,16 +459,16 @@ class BoundParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.sigma_p < 0:
-            raise ValueError("sigma_p must be non-negative")
+        if not 0 <= self.sigma_p < math.inf:
+            raise ValueError("sigma_p must be non-negative and finite")
         if self.ell is None:
             object.__setattr__(self, "ell", 2.0 * math.pi * math.sqrt(self.d))
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
+        if not 0 < self.ell < math.inf:
+            raise ValueError("ell must be positive and finite")
 
 
 def bound_beta_d(d: int) -> float:
@@ -481,8 +481,10 @@ def bound_beta_d(d: int) -> float:
 
 def bound_alpha_epsilon(epsilon: float, kernel_sup_term: float) -> float:
     """Variance proxy min(1, sup-term + epsilon/3) entering the tail bound."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not -math.inf < kernel_sup_term < math.inf:
+        raise ValueError("kernel_sup_term must be finite")
     return min(1.0, kernel_sup_term + epsilon / 3.0)
 
 
@@ -532,10 +534,10 @@ def bound_lrr_features(p: BoundParams) -> int:
     if p.lam is None:
         raise ValueError("lam is required for this bound")
     lam = float(p.lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if p.c1 <= 0 or p.c2 <= 0:
-        raise ValueError("c1 and c2 must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    if not (0 < p.c1 < math.inf and 0 < p.c2 < math.inf):
+        raise ValueError("c1 and c2 must be positive and finite")
     if p.n_layers < 1 or p.domain_size < 1:
         raise ValueError("n_layers and domain_size must be at least 1")
     inner = p.c2 * (1.0 + lam) / lam**2 - math.log(p.delta)
@@ -555,7 +557,8 @@ def lattice_kernel(freqs, deltas: np.ndarray) -> np.ndarray:
     W = _frequency_array(freqs, deltas.shape[1])
     if not len(W):
         raise ValueError("no frequencies supplied")
-    return np.mean(np.cos(deltas @ W.astype(float).T), axis=1)
+    phases = deltas @ W.astype(float).T
+    return np.mean(np.cos(phases, out=phases), axis=1)
 
 
 def empirical_kernel_sup(

@@ -4,9 +4,9 @@ A circuit with L encoding repetitions and g_i Rx-encoding gates carrying
 feature i can express Fourier terms whose i-th frequency component is an
 integer in [-L*g_i, L*g_i]; each encoding gate has generator eigenvalues
 +-1/2, so gaps are integers.  This module enumerates and samples that
-lattice and builds the equidistant grid with T_i = 2*omega_max(i) + 1
-points per feature on which the full coefficient set is exactly
-recoverable.
+lattice and builds the points of the equidistant grid with
+T_i = 2*omega_max(i) + 1 points per feature, on which the full
+coefficient set is exactly recoverable.
 
 A set of D frequency vectors over d features is one read-only (D, d)
 int64 array, one vector per row.  A vector is *canonical* when its first
@@ -35,7 +35,6 @@ from .simulator import CircuitConfig
 
 __all__ = [
     "SpectrumDescriptor",
-    "Grid",
     "omega_max_of",
     "lattice_size",
     "canonical_count",
@@ -62,18 +61,6 @@ class SpectrumDescriptor:
     @property
     def d(self) -> int:
         return len(self.omega_max)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Tensor-product sampling grid over [0, 2*pi)^d.
-
-    ``points`` has one row per grid node; ``per_feature_counts`` holds
-    the T_i.  Coordinates are 2*pi*k / T_i for k = 0..T_i-1.
-    """
-
-    points: np.ndarray
-    per_feature_counts: tuple[int, ...]
 
 
 def omega_max_of(config: CircuitConfig) -> SpectrumDescriptor:
@@ -197,12 +184,14 @@ def sample_distinct(desc: SpectrumDescriptor, D: int, seed: int) -> np.ndarray:
     return _box_vectors(desc, drawn[:D])
 
 
-def full_grid(desc: SpectrumDescriptor, cap: int = 10**6) -> Grid:
-    """Equidistant tensor-product grid with T_i = 2*omega_max(i) + 1.
+def full_grid(desc: SpectrumDescriptor, cap: int = 10**6) -> np.ndarray:
+    """Points of the tensor-product grid over [0, 2*pi)^d with T_i = 2*omega_max(i) + 1.
 
-    On this grid the design matrix over the full lattice is orthogonal
-    (a scaled multidimensional DFT), so an FFT of the grid values
-    recovers every coefficient exactly.  Raises CapExceeded when
+    Returns the (N, d) points, one row per grid node in C order of the
+    feature axes; feature i takes the T_i values 2*pi*k / T_i for
+    k = 0..T_i-1. On this grid the design matrix over the full lattice
+    is orthogonal (a scaled multidimensional DFT), so an FFT of the grid
+    values recovers every coefficient exactly.  Raises CapExceeded when
     prod(T_i) > cap.
     """
     size = lattice_size(desc)
@@ -211,5 +200,4 @@ def full_grid(desc: SpectrumDescriptor, cap: int = 10**6) -> Grid:
     counts = tuple(2 * w + 1 for w in desc.omega_max)
     axes = [2.0 * np.pi * np.arange(t) / t for t in counts]
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    return Grid(points=points, per_feature_counts=counts)
+    return np.stack([m.ravel() for m in mesh], axis=1)

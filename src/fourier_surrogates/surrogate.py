@@ -37,16 +37,13 @@ DEFAULT_RCOND = 1e-10
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """The real [1 | cos | sin] design together with its frequencies.
+    """The real [1 | cos | sin] design.
 
     ``entries`` has an intercept column followed by a cos/sin pair per
-    frequency; ``column_frequencies`` is the (D, d) array of canonical
-    frequencies, each listed once (two columns each, after the
-    intercept).
+    frequency, in the order the frequencies were given.
     """
 
     entries: np.ndarray
-    column_frequencies: np.ndarray
 
 
 def build_real_design(points: np.ndarray, canonical_freqs) -> DesignMatrix:
@@ -69,12 +66,11 @@ def build_real_design(points: np.ndarray, canonical_freqs) -> DesignMatrix:
     if pts.shape[1] != W.shape[1]:
         raise ValueError(f"points have dimension {pts.shape[1]}, frequencies {W.shape[1]}")
     phases = pts @ W.astype(float).T
-    rows, D = phases.shape
-    entries = np.empty((rows, 1 + 2 * D))
+    entries = np.empty((len(phases), 1 + 2 * len(W)))
     entries[:, 0] = 1.0
-    entries[:, 1::2] = np.cos(phases)
-    entries[:, 2::2] = np.sin(phases)
-    return DesignMatrix(entries=entries, column_frequencies=W)
+    np.cos(phases, out=entries[:, 1::2])
+    np.sin(phases, out=entries[:, 2::2])
+    return DesignMatrix(entries)
 
 
 def fit(

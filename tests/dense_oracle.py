@@ -19,7 +19,7 @@ def build_complex_design(points, freqs) -> DesignMatrix:
     W = _frequency_array(freqs)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     entries = np.exp(-1j * (pts @ W.astype(float).T))
-    return DesignMatrix(entries=entries, column_frequencies=W)
+    return DesignMatrix(entries)
 
 
 def complex_fit_to_real(freqs, coeffs):

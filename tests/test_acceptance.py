@@ -67,10 +67,10 @@ def test_03_rff_with_full_spectrum_and_grid_equals_exact(report):
         config = fs.CircuitConfig(n_qubits=n, n_layers=2)
         params = fs.ParameterSet.random(config, seed=n)
         desc = fs.omega_max_of(config)
-        grid = fs.full_grid(desc)
+        points = fs.full_grid(desc)
         exact = fs.surrogate_exact(config, params)
         rff = fs.surrogate_rff(
-            config, params, grid.points, D=fs.canonical_count(desc), seed=0
+            config, params, points, D=fs.canonical_count(desc), seed=0
         )
         X = np.random.default_rng(50 + n).uniform(0.0, 2.0 * np.pi, size=(100, n))
         diff = fs.predict_batch(rff, X) - fs.predict_batch(exact, X)

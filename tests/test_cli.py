@@ -254,6 +254,20 @@ def test_bounds_circuit_route_derives_spectrum(tmp_path):
     assert "lrr_features" not in doc
 
 
+def test_bounds_cap_reaches_the_kernel_enumeration(tmp_path, monkeypatch):
+    caps = []
+    real = cli.empirical_kernel_sup
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "empirical_kernel_sup", spy)
+    assert run_cli("bounds", "--epsilon", 0.2, "--qubits", 2, "--layers", 1,
+                   "--cap", 123, "--trial-points", 2, "--out-dir", tmp_path) == 0
+    assert caps == [123]
+
+
 def test_bounds_requires_a_spectrum_or_sigma(tmp_path):
     assert run_cli("bounds", "--epsilon", 0.1, "--out-dir", tmp_path) == 1
     assert run_cli("bounds", "--epsilon", 0.1, "--sigma-p", 1.0,
@@ -312,8 +326,21 @@ def test_every_json_file_is_written_in_the_one_format(tmp_path):
     assert len(written) == 10
     for path in written:
         text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n", path.name
     assert read_json(tmp_path / "surrogate_manifest.json")["artifacts"] == ["model.json"]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_the_json_writer_refuses_non_finite_numbers_and_leaves_no_file(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(path, {"ok": 1.0, "bad": [value]})
+    assert not path.exists()
 
 
 # ------------------------------------------------------------ exit codes
@@ -512,6 +539,55 @@ def test_sweep_arguments_it_cannot_honour_exit_4_and_write_no_report(
     assert not (tmp_path / "sweep.json").exists()
 
 
+#: (subcommand and the flags that follow its fixed ones, parameter the message
+#: names); where a flag repeats a fixed one, argparse keeps the last value
+_NON_FINITE_OR_NEGATIVE = [
+    (["bounds", "--kernel-sup-term", "nan"], "kernel_sup_term"),
+    (["bounds", "--kernel-sup-term", "inf"], "kernel_sup_term"),
+    (["bounds", "--epsilon", "nan"], "epsilon"),
+    (["bounds", "--sigma-p", "nan"], "sigma_p"),
+    (["bounds", "--sigma-p", "inf"], "sigma_p"),
+    (["bounds", "--ell", "nan"], "ell"),
+    (["bounds", "--lam", "nan"], "lam"),
+    (["bounds", "--lam", 0.5, "--c1", "nan"], "c1"),
+    (["datagen", "--noise-sd", "nan"], "noise_sd"),
+    (["datagen", "--noise-sd", -1], "noise_sd"),
+    (["train", "--tol", "nan"], "tol"),
+    (["train", "--learning-rate", "nan"], "learning_rate"),
+    (["train", "--learning-rate", "inf"], "learning_rate"),
+    (["sweep", "--train-fraction", "nan"], "train_fraction"),
+    (["preprocess", "--dbscan-eps", "nan"], "eps"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, param", _NON_FINITE_OR_NEGATIVE,
+    ids=[" ".join(map(str, argv)) for argv, _ in _NON_FINITE_OR_NEGATIVE],
+)
+def test_non_finite_or_negative_parameters_exit_4_and_write_nothing(
+    tmp_path, capsys, argv, param
+):
+    assert run_cli("datagen", "--dimension", 1, "--size", 10, "--out-dir", tmp_path) == 0
+    dataset = tmp_path / "dataset.json"
+    command, *flags = argv
+    fixed = {
+        "bounds": ["--epsilon", 0.1, "--sigma-p", 2.0, "--dimension", 2,
+                   "--kernel-sup-term", 0.5],
+        "datagen": ["--dimension", 1, "--size", 10],
+        "train": ["--dataset", dataset, "--qubits", 1, "--layers", 1, "--max-iters", 1],
+        "sweep": ["--quantity", "frequencies", "--qubits", 1, "--seeds", 1, "--layers", 1,
+                  "--dataset-size", 20],
+        "preprocess": ["--input", dataset],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(command, *fixed, *flags, "--out-dir", out) == 4
+    err = last_stderr_json(capsys)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{param} "), err["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_showcase_without_seeds_exits_4_and_writes_no_report(tmp_path, capsys):
     rc = run_cli("showcase", "--qubits", 2, "--size", 20, "--frequencies", 3,
                  "--seeds", 0, "--train-iters", 0, "--out-dir", tmp_path)
@@ -563,7 +639,9 @@ _MIRRORED_DEFAULTS = [
     (["bounds", "--epsilon", 0.1], fs.BoundParams, {
         "c1": "c1", "c2": "c2", "domain_size": "domain_size",
     }),
-    (["bounds", "--epsilon", 0.1], fs.empirical_kernel_sup, {"trial_points": "trial_points"}),
+    (["bounds", "--epsilon", 0.1], fs.empirical_kernel_sup, {
+        "trial_points": "trial_points", "cap": "cap",
+    }),
     (["surrogate", "rff", "--dataset", "d.json"], fs.NoiseConfig, {
         "depolarizing": "depolarizing_p",
     }),

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,80 @@ def test_dbscan_matches_brute_force(seed):
     ds = Dataset(X=X, y=np.zeros(120))
     labels, _ = dbscan(ds, eps=0.8, min_pts=4)
     np.testing.assert_array_equal(labels, brute_force_dbscan(X, 0.8, 4))
+
+
+def broadcast_dbscan(X: np.ndarray, eps: float, min_pts: int) -> tuple[np.ndarray, dict]:
+    """The earlier dbscan: neighbours from one (n, n, d) difference tensor.
+
+    Returns its labels and the provenance entry it recorded.
+    """
+    n = len(X)
+    sq_dists = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    within = sq_dists <= eps * eps
+    neighbor_lists = [np.flatnonzero(within[i]) for i in range(n)]
+    core = [len(nb) >= min_pts for nb in neighbor_lists]
+    labels = np.full(n, -1, dtype=int)
+    cluster = 0
+    for i in range(n):
+        if not core[i] or labels[i] != -1:
+            continue
+        labels[i] = cluster
+        queue = [i]
+        while queue:
+            j = queue.pop(0)
+            for m in neighbor_lists[j]:
+                if labels[m] == -1:
+                    labels[m] = cluster
+                    if core[m]:
+                        queue.append(m)
+        cluster += 1
+    kept = np.flatnonzero(labels >= 0)
+    entry = {
+        "op": "dbscan", "eps": float(eps), "min_pts": int(min_pts), "kept_rows": kept.tolist(),
+        "n_noise": int(n - len(kept)), "n_clusters": cluster,
+    }
+    return labels, entry
+
+
+def _oracle_sets(d: int):
+    """(X, eps) pairs at dimension d: random, and tie-heavy ones whose distances hit eps."""
+    rng = np.random.default_rng(100 + d)
+    uniform = rng.uniform(0.0, 3.0, size=(150, d))
+    yield uniform, 0.6 * np.sqrt(d)
+    grid = rng.integers(0, 4, size=(150, d)).astype(float)  # repeats rows at small d
+    yield grid, 1.0
+    yield grid, np.sqrt(2.0)
+    yield 0.1 * grid, 0.1  # squared distances and eps * eps each round on their own
+    yield 0.1 * grid, 0.1 * np.sqrt(2.0)
+    yield uniform[rng.integers(0, 20, size=150)], 0.25  # duplicate rows only
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dbscan_matches_the_broadcast_oracle_bit_for_bit(d):
+    for X, eps in _oracle_sets(d):
+        ds = Dataset(X=X, y=np.arange(len(X), dtype=float))
+        for min_pts in (1, 3, 6):
+            want_labels, want_entry = broadcast_dbscan(X, eps, min_pts)
+            if want_entry["n_noise"] == len(X):
+                with pytest.raises(ValueError, match="every row as noise"):
+                    dbscan(ds, eps, min_pts)
+                continue
+            labels, out = dbscan(ds, eps, min_pts)
+            np.testing.assert_array_equal(labels, want_labels)
+            assert out.provenance[-1] == want_entry
+
+
+def test_dbscan_holds_no_pairwise_array():
+    X = np.random.default_rng(0).random((2000, 4))
+    ds = Dataset(X=X, y=np.zeros(2000))
+    tracemalloc.start()
+    try:
+        dbscan(ds, eps=0.15, min_pts=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, n, d) float tensor would be 128 MB, the (n, n) distances 32 MB
+    assert peak < 8_000_000
 
 
 # ---------------------------------------------------------------------------

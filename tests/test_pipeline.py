@@ -127,10 +127,10 @@ def test_exact_surrogate_cap_carries_estimate():
 def _dense_exact(config, params):
     """The exact route as a dense complex least-squares solve over the full lattice."""
     desc = omega_max_of(config)
-    grid = full_grid(desc)
+    points = full_grid(desc)
     lattice = list(itertools.product(*(range(-w, w + 1) for w in desc.omega_max)))
-    y = expectation_batch(config, params, grid.points)
-    coeffs, _ = fit(build_complex_design(grid.points, lattice), y)
+    y = expectation_batch(config, params, points)
+    coeffs, _ = fit(build_complex_design(points, lattice), y)
     return complex_fit_to_real(lattice, coeffs)
 
 
@@ -165,9 +165,9 @@ def test_exact_fft_route_matches_dense_solve(config):
 def _grid_exact(config, params):
     """The exact route by simulating every grid point: grid, expectation_batch, fftn."""
     desc = omega_max_of(config)
-    grid = full_grid(desc)
-    T = grid.per_feature_counts
-    y = expectation_batch(config, params, grid.points).reshape(T)
+    points = full_grid(desc)
+    T = tuple(2 * w + 1 for w in desc.omega_max)
+    y = expectation_batch(config, params, points).reshape(T)
     F = np.fft.fftn(y) / y.size
     canon = enumerate_canonical(desc, cap=y.size)
     c = F[tuple((np.asarray(canon) % T).T)]
@@ -285,9 +285,8 @@ def test_rff_equals_exact_in_the_full_limit():
     config = CircuitConfig(n_qubits=2, n_layers=1)
     params = ParameterSet.random(config, seed=31)
     desc = SpectrumDescriptor((1, 1))
-    grid = full_grid(desc)
     exact = surrogate_exact(config, params)
-    rff = surrogate_rff(config, params, grid.points, D=4, seed=0)
+    rff = surrogate_rff(config, params, full_grid(desc), D=4, seed=0)
     assert rff.mode == "rff"
     X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(100, 2))
     np.testing.assert_allclose(predict_batch(rff, X), predict_batch(exact, X), atol=1e-8)
@@ -316,7 +315,7 @@ def test_rff_equals_exact_in_the_full_limit_on_drawn_circuits(case):
     desc = omega_max_of(config)
     exact = surrogate_exact(config, params)
     rff = surrogate_rff(
-        config, params, full_grid(desc).points, D=canonical_count(desc), seed=seed
+        config, params, full_grid(desc), D=canonical_count(desc), seed=seed
     )
     X = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(50, config.d_features))
     np.testing.assert_allclose(predict_batch(rff, X), predict_batch(exact, X), rtol=0, atol=1e-8)
@@ -833,6 +832,19 @@ def test_lattice_kernel_hand_values():
     np.testing.assert_allclose(k2, [(np.cos(0.5) + np.cos(1.0)) / 2], atol=1e-15)
     with pytest.raises(ValueError):
         lattice_kernel([], deltas)
+
+
+def test_lattice_kernel_takes_the_cosine_in_place():
+    W = enumerate_canonical(SpectrumDescriptor((2,) * 6), cap=5**6)  # 7 812 frequencies
+    deltas = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(400, 6))
+    tracemalloc.start()
+    try:
+        k = lattice_kernel(W, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * len(deltas) * len(W)  # one (trials, D) matrix
+    assert np.array_equal(k, np.mean(np.cos(deltas @ W.astype(float).T), axis=1))
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,12 @@
 Each module's ``__all__`` is the only declaration of its public names,
 and the package's ``__all__`` is their union. A name belongs there only
 when the package's own code, a demo or the benchmark harness refers to
-it: a function that only tests call is not public API.
+it: a function that only tests call is not public API. Likewise every
+field of a public dataclass is read somewhere outside the tests.
 """
 
 import ast
+import dataclasses
 import pkgutil
 import re
 from importlib import import_module
@@ -61,10 +63,14 @@ def _read_in_src() -> set[str]:
     return read
 
 
-def _outside_text() -> str:
+def _outside_paths() -> list[Path]:
     paths = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     assert paths, "demos/ and perfbench/ hold no Python files"
-    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+    return paths
+
+
+def _outside_text() -> str:
+    return "\n".join(p.read_text(encoding="utf-8") for p in _outside_paths())
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -75,3 +81,22 @@ def test_every_public_name_is_used_outside_the_tests():
         if name not in read and not re.search(rf"\b{re.escape(name)}\b", outside)
     ]
     assert sorted(unused) == sorted(KEPT_FOR_TESTS)
+
+
+def test_every_field_of_a_public_dataclass_is_read_outside_the_tests():
+    """A field counts as read where ``obj.field`` is loaded in src/, demos/ or perfbench/."""
+    read = {
+        node.attr
+        for path in [*SRC.glob("*.py"), *_outside_paths()]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    classes = [getattr(fs, name) for name in fs.__all__]
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in classes
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert unread == []

@@ -4,6 +4,7 @@ import ast
 import itertools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from fourier_surrogates import (
     load_model,
     mse,
     predict_batch,
+    sample_distinct,
     surrogate_exact,
     surrogate_rff,
 )
@@ -38,7 +40,6 @@ def test_complex_design_entries_by_hand():
     pts = np.array([[0.0, 0.0], [0.5, 1.0]])
     freqs = [(1, 0), (0, 2)]
     design = build_complex_design(pts, freqs)
-    assert np.array_equal(design.column_frequencies, ((1, 0), (0, 2)))
     want = np.array(
         [
             [1.0, 1.0],
@@ -52,7 +53,7 @@ def test_real_design_layout_by_hand():
     pts = np.array([[0.3, 0.7]])
     freqs = [(1, 0), (1, 2)]
     design = build_real_design(pts, freqs)
-    assert np.array_equal(design.column_frequencies, ((1, 0), (1, 2)))
+    assert design.entries.shape == (1, 5)
     row = design.entries[0]
     assert row[0] == 1.0
     np.testing.assert_allclose(row[1], np.cos(0.3), atol=1e-15)
@@ -75,6 +76,22 @@ def test_real_design_rejects_bad_frequencies():
         build_real_design(np.zeros((2, 3)), [(1, 0)])
     with pytest.raises(ValueError, match="no sample points supplied"):
         build_real_design(np.zeros((0, 2)), [(1, 0)])
+
+
+def test_real_design_holds_only_its_entries_and_phases():
+    """cos and sin are written into the design's columns, with the contiguous kernels' bits."""
+    X = np.random.default_rng(0).random((350, 7))
+    W = sample_distinct(SpectrumDescriptor((2,) * 7), 10_000, seed=1)
+    tracemalloc.start()
+    try:
+        entries = build_real_design(X, W).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    phases = X @ W.astype(float).T
+    assert peak <= 1.1 * (entries.nbytes + phases.nbytes)
+    assert np.array_equal(entries[:, 1::2], np.cos(phases))
+    assert np.array_equal(entries[:, 2::2], np.sin(phases))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +199,12 @@ def test_complex_fit_realness_on_full_lattice():
     config = CircuitConfig(n_qubits=2, n_layers=1)
     params = ParameterSet.random(config, seed=12)
     desc = SpectrumDescriptor((1, 1))
-    grid = full_grid(desc)
+    points = full_grid(desc)
     lattice = list(itertools.product(*(range(-w, w + 1) for w in desc.omega_max)))
     from fourier_surrogates import expectation_batch
 
-    y = expectation_batch(config, params, grid.points)
-    coeffs, _ = fit(build_complex_design(grid.points, lattice), y)
+    y = expectation_batch(config, params, points)
+    coeffs, _ = fit(build_complex_design(points, lattice), y)
     by_freq = dict(zip(lattice, coeffs))
     for f, c in by_freq.items():
         neg = tuple(-v for v in f)
