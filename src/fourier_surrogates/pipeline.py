@@ -26,12 +26,16 @@ forward and one backward sweep through the gates, whatever the number
 of angles P). Training with shots keeps the parameter-shift rule, which
 needs only sampled expectations: for any Rx/Ry/Rz angle,
 df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly, so one
-iteration costs 2P + 1 sampled circuit evaluations.
+iteration costs 2P + 1 sampled circuit evaluations. The 2P shifted ones
+(``simulator._shift_estimates``) each resume from the saved state at the
+start of their angle's block, so they skip the gates the unshifted
+circuit has already walked.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +49,7 @@ from .simulator import (
     NoiseConfig,
     ParameterSet,
     _mean_z_diagonal,
+    _shift_estimates,
     expectation_batch,
     mse_gradient,
     state_coefficients,
@@ -339,7 +344,9 @@ class TrainConfig:
     (useful for fixtures). Without ``shots``, gradients are exact and
     adjoint-state. With ``shots`` set, gradients are parameter-shift and
     every circuit evaluation is sampled, so gradients and recorded losses
-    are noisy estimates.
+    are noisy estimates. Each of the 2P shifted evaluations resumes from
+    its angle's block's saved state, and gives the estimate a full pass
+    with the same seed would give.
     """
 
     learning_rate: float = 0.2
@@ -370,7 +377,10 @@ def train(
     Without ``tc.shots`` the gradient is exact and comes from one adjoint
     sweep (``simulator.mse_gradient``); with shots it comes from the
     parameter-shift rule on sampled evaluations, 2P of them per
-    iteration plus one for the loss. Targets must already be in [-1, 1]
+    iteration plus one for the loss. Each of the 2P starts from the
+    state saved at the start of its angle's block by one prefix walk
+    per iteration (``simulator._shift_estimates``) and draws with the
+    next seed, as a full pass would. Targets must already be in [-1, 1]
     (the observable's range); initial parameters default to a random
     draw from the config's shape under ``tc.seed``. Returns the final
     parameters and the loss history (initial loss first, one entry per
@@ -387,29 +397,16 @@ def train(
         init = ParameterSet.random(config, seed=tc.seed)
     init.validate_for(config)
 
-    noise_counter = 0
-    noise_base = int(np.random.SeedSequence([tc.seed, 0x7261]).generate_state(1)[0])
+    seeds = itertools.count(int(np.random.SeedSequence([tc.seed, 0x7261]).generate_state(1)[0]))
 
     def evaluate(angles: np.ndarray) -> np.ndarray:
-        nonlocal noise_counter
-        noise = None
-        if tc.shots is not None:
-            noise = NoiseConfig(shots=tc.shots, seed=noise_base + noise_counter)
-            noise_counter += 1
+        noise = None if tc.shots is None else NoiseConfig(shots=tc.shots, seed=next(seeds))
         return expectation_batch(config, ParameterSet(angles=angles), X, noise=noise)
 
     def shift_gradient(angles: np.ndarray, preds: np.ndarray) -> np.ndarray:
-        flat = angles.reshape(-1)
-        grad = np.zeros_like(flat)
-        for j in range(flat.size):
-            shifted = flat.copy()
-            shifted[j] += math.pi / 2
-            f_plus = evaluate(shifted.reshape(angles.shape))
-            shifted[j] -= math.pi
-            f_minus = evaluate(shifted.reshape(angles.shape))
-            df = (f_plus - f_minus) / 2.0
-            grad[j] = float(np.mean(2.0 * (preds - y) * df))
-        return grad.reshape(angles.shape)
+        plus, minus = _shift_estimates(config, ParameterSet(angles=angles), X, tc.shots, seeds)
+        grad = [float(np.mean(2.0 * (preds - y) * ((p - m) / 2.0))) for p, m in zip(plus, minus)]
+        return np.reshape(grad, angles.shape)
 
     angles = init.angles.copy()
     history: list[float] = []
@@ -417,7 +414,7 @@ def train(
     # has converged, steps from them. Without shots, one adjoint sweep
     # gives the predictions and the gradient. With shots, the gradient is
     # parameter-shift: 2P sampled evaluations after the scoring one, each
-    # with the next seed from noise_base.
+    # with the next of the consecutive seeds.
     for k in range(tc.max_iters + 1):
         if tc.shots is None and k < tc.max_iters:
             preds, grad = mse_gradient(config, ParameterSet(angles=angles), X, y)

@@ -34,21 +34,29 @@ single-gate helpers. ``mse_gradient`` gives exact predictions together
 with the gradient of their mean squared error in the angles, by the
 adjoint method. ``state_coefficients`` gives the state's Fourier
 coefficients in the inputs, for every input at once. All three walk the
-one gate list that ``_gates`` yields.
+one gate list that ``_gates`` yields. ``_shift_estimates`` gives the
+sampled parameter-shift evaluations that shots training needs.
 
 Layout: inside this module a batch is held amplitudes first, as
 (2**n, rows), and a coefficient tensor as (2**n, k_0, ..., k_{d-1}).
 A qubit's |0> and |1> halves are then made of contiguous runs at least
 as long as the batch, whichever the qubit. Each gate writes into a
 preallocated buffer that the walk then swaps with its input, so no gate
-allocates. The public boundary stays rows first: ``run_circuit_batch``
-returns a C-contiguous (rows, 2**n) array through one transpose at the
-end, and ``state_coefficients`` returns (k_0, ..., k_{d-1}, 2**n).
+allocates. W_0 acts before any input, so a batch walk applies it once,
+to one (2**n, 1) column, and broadcasts that column into the batch; the
+same kernels run in the same order as they would on every row. The
+per-row walks (forward pass, adjoint sweep, shifted evaluations) run
+with numpy's ufunc buffer scoped to 512 elements (``_walk_buffer``),
+which changes no value. The public boundary stays rows first:
+``run_circuit_batch`` returns a C-contiguous (rows, 2**n) array through
+one transpose at the end, and ``state_coefficients`` returns
+(k_0, ..., k_{d-1}, 2**n).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,6 +236,28 @@ class NoiseConfig:
 # ---------------------------------------------------------------------------
 
 
+#: numpy's ufunc buffer size, in elements, while the per-row walks run. The
+#: kernels' operands have short contiguous runs at late qubits and with
+#: per-row angles, and numpy then copies them through its buffer; at the
+#: default 8192 elements those copies leave the cache. The setting changes
+#: no value, only how numpy stages the operands.
+_WALK_BUFSIZE = 512
+
+
+@contextmanager
+def _walk_buffer():
+    """numpy's ufunc buffer at _WALK_BUFSIZE inside, the caller's size again on exit.
+
+    A set-and-restore, because numpy before 2.0 has no scope of its own
+    for the setting; it is restored also when the walk raises.
+    """
+    previous = np.setbufsize(_WALK_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
 def _apply_1q(states: np.ndarray, qubit: int, u, out: np.ndarray) -> np.ndarray:
     """Apply the 2x2 ``u`` on ``qubit`` of every column of ``states``, into ``out``.
 
@@ -301,24 +331,34 @@ def _cnot_batch(states, control: int, target: int, out) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gates(config: CircuitConfig):
-    """The circuit's gates in application order.
+def _block(config: CircuitConfig, block: int):
+    """W_block's gates: Rx, Ry, Rz on every qubit, then the coupling map's CNOTs."""
+    for q in range(config.n_qubits):
+        for a, axis in enumerate(_AXES):
+            yield "rot", q, axis, (block, q, a)
+    for c, t in config.coupling_map:
+        yield "cnot", c, t, None
+
+
+def _encoding(config: CircuitConfig):
+    """E(x)'s gates: Rx on every qubit, by the input feature assigned to it."""
+    for q in range(config.n_qubits):
+        yield "enc", q, "x", config.feature_assignment[q]
+
+
+def _gates(config: CircuitConfig, first: int = 0):
+    """The circuit's gates in application order, from W_first's first rotation on.
 
     Yields ("rot", qubit, axis, (block, qubit, axis index)) for a trainable
     rotation, whose angle is ``angles[index]``; ("enc", qubit, "x", feature)
     for an encoding rotation by that input feature; and
-    ("cnot", control, target, None).
+    ("cnot", control, target, None). With ``first`` = 0 that is the whole
+    circuit.
     """
-    n = config.n_qubits
-    for block in range(config.n_layers + 1):
-        if block:
-            for q in range(n):
-                yield "enc", q, "x", config.feature_assignment[q]
-        for q in range(n):
-            for a, axis in enumerate(_AXES):
-                yield "rot", q, axis, (block, q, a)
-        for c, t in config.coupling_map:
-            yield "cnot", c, t, None
+    yield from _block(config, first)
+    for block in range(first + 1, config.n_layers + 1):
+        yield from _encoding(config)
+        yield from _block(config, block)
 
 
 def _apply_gate(states, gate, angles: np.ndarray, X: np.ndarray, out) -> np.ndarray:
@@ -336,18 +376,46 @@ def _apply_gate(states, gate, angles: np.ndarray, X: np.ndarray, out) -> np.ndar
     return _rotate_batch(states, a, b, theta, out)
 
 
-def _forward(config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out):
+def _walk(gates, states, out, angles: np.ndarray, X):
+    """Apply ``gates`` to every column of ``states``, alternating with ``out``.
+
+    Returns (holder, spare): the buffer that holds the result, and the
+    other one.
+    """
+    for gate in gates:
+        if _apply_gate(states, gate, angles, X, out) is out:
+            states, out = out, states
+    return states, out
+
+
+def _first_block(config: CircuitConfig, angles: np.ndarray) -> np.ndarray:
+    """W_0|0..0> as one (2**n, 1) column.
+
+    W_0 acts before any input, so every row of a batch starts E(x) from
+    this state; its kernels run once, on the column, not once per row.
+    """
+    column = np.zeros((2**config.n_qubits, 1), dtype=complex)
+    column[0] = 1.0
+    return _walk(_block(config, 0), column, np.empty_like(column), angles, None)[0]
+
+
+def _forward(
+    config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None
+):
     """U(x)|0..0> for every row x of X, walked in two (2**n, rows) buffers.
 
-    The gates alternate between ``states`` and ``out``; returns the one
-    that holds the final states.
+    ``states`` takes W_0's column (``_first_block``) in every row; each
+    later encoding and block then alternates between ``states`` and
+    ``out``. Given ``starts``, (L, 2**n, rows), starts[b - 1] receives the
+    state that enters W_b's rotations. Returns the buffer that holds the
+    final states.
     """
-    states[...] = 0.0
-    states[0] = 1.0
-    for gate in _gates(config):
-        result = _apply_gate(states, gate, angles, X, out)
-        if result is out:
-            states, out = out, states
+    states[...] = _first_block(config, angles)
+    for block in range(1, config.n_layers + 1):
+        states, out = _walk(_encoding(config), states, out, angles, X)
+        if starts is not None:
+            starts[block - 1] = states
+        states, out = _walk(_block(config, block), states, out, angles, X)
     return states
 
 
@@ -362,6 +430,7 @@ def _inputs(config: CircuitConfig, X) -> np.ndarray:
     return X
 
 
+@_walk_buffer()
 def run_circuit_batch(
     config: CircuitConfig, params: ParameterSet, X: np.ndarray
 ) -> np.ndarray:
@@ -387,6 +456,7 @@ def _overlap(sweep: np.ndarray, qubit: int, scratch: np.ndarray) -> np.ndarray:
     return np.einsum("iajr,ibjr->ab", lam, split[..., 0, :])
 
 
+@_walk_buffer()
 def mse_gradient(
     config: CircuitConfig, params: ParameterSet, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -588,6 +658,56 @@ def expectation_batch(
     else:
         values = _shot_estimates(probs, noise.shots, noise.seed)
     return (1.0 - noise.depolarizing_p) * values
+
+
+def _shift_estimates(
+    config: CircuitConfig, params: ParameterSet, X: np.ndarray, shots: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shot estimates at every angle shifted by +pi/2 and by -pi/2, for parameter shift.
+
+    Returns (plus, minus), each (P, rows) with P = ``params.angles.size``.
+    Row j of ``plus`` is ``expectation_batch`` with shots at the angles
+    whose j-th entry (C order) is raised by pi/2, and row j of ``minus``
+    the same with that entry then lowered by pi. Each estimate draws with
+    the next seed of the iterator ``seeds``, in the order plus_0,
+    minus_0, plus_1, ...
+
+    Only the gates from angle j's block on see angle j. So one unshifted
+    pass first saves the state at the start of each block's rotations,
+    after its encodings; block 0 starts from W_0's column, as ``_forward``
+    does. Each shifted evaluation copies its block's saved state and walks
+    only the gates from there, with the kernels a full pass applies to the
+    same inputs, so its states and estimates are bit for bit a full
+    pass's.
+    """
+    params.validate_for(config)
+    X = _inputs(config, X)
+    angles, n = params.angles, config.n_qubits
+    shape = (2**n, X.shape[0])
+    states, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    starts = np.empty((config.n_layers,) + shape, dtype=complex)
+    with _walk_buffer():
+        _forward(config, angles, X, states, out, starts)
+
+    def estimate(shifted: np.ndarray, block: int) -> np.ndarray:
+        shifted = shifted.reshape(angles.shape)
+        with _walk_buffer():
+            if block == 0:
+                final = _forward(config, shifted, X, states, out)
+            else:
+                states[...] = starts[block - 1]
+                final = _walk(_gates(config, block), states, out, shifted, X)[0]
+        return _shot_estimates(np.abs(final.T.copy()) ** 2, shots, next(seeds))
+
+    flat = angles.reshape(-1)
+    plus, minus = np.empty((flat.size, X.shape[0])), np.empty((flat.size, X.shape[0]))
+    for j in range(flat.size):
+        shifted = flat.copy()
+        shifted[j] += math.pi / 2
+        plus[j] = estimate(shifted, j // (3 * n))
+        shifted[j] -= math.pi
+        minus[j] = estimate(shifted, j // (3 * n))
+    return plus, minus
 
 
 def expectation(

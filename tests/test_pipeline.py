@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from fourier_surrogates import (
 from fourier_surrogates import pipeline, simulator
 from fourier_surrogates.simulator import mse_gradient
 from dense_oracle import build_complex_design, complex_fit_to_real
+from shift_oracle import shots_train_oracle
 from test_simulator import (
     _per_row_sampler,
     row_major_mse_gradient,
@@ -688,19 +690,151 @@ def test_shots_training_with_the_per_row_sampler_is_the_earlier_recording(monkey
     ]
 
 
+def _recording_sampler(seeds: list):
+    """``simulator._shot_estimates``, appending each seed it draws with to ``seeds``."""
+    sampler = simulator._shot_estimates
+
+    def recording(probs, shots, seed):
+        seeds.append(seed)
+        return sampler(probs, shots, seed)
+
+    return recording
+
+
 def test_shots_iteration_makes_2p_plus_1_sampled_evaluations(monkeypatch):
+    """Counted where every sampled evaluation draws its shots, scoring or shifted."""
     seeds = []
-
-    def counting(config, params, X, noise=None):
-        seeds.append(noise.seed)
-        return expectation_batch(config, params, X, noise)
-
-    monkeypatch.setattr(pipeline, "expectation_batch", counting)
+    monkeypatch.setattr(simulator, "_shot_estimates", _recording_sampler(seeds))
     config, ds = _shots_case()
     train(config, ds, TrainConfig(shots=256, max_iters=2))
     n_angles = 3 * 3 * 3
     assert len(seeds) == 1 + 2 * (2 * n_angles + 1)
     assert seeds == list(range(seeds[0], seeds[0] + len(seeds)))
+
+
+@st.composite
+def _shots_training_case(draw):
+    """A circuit with a non-adjacent and a reversed CNOT, d < n under a drawn
+    feature assignment, and angles at exactly 0.0 and at +-pi/2, so that
+    some shifted angles land on 0.0 too."""
+    n = draw(st.integers(3, 4))
+    d = draw(st.integers(1, n - 1))
+    spare = draw(st.lists(st.integers(0, d - 1), min_size=n - d, max_size=n - d))
+    assignment = draw(st.permutations(list(range(d)) + spare))
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    far = draw(st.sampled_from([(c, t) for c, t in pairs if abs(c - t) > 1]))
+    back = draw(st.sampled_from([(c, t) for c, t in pairs if c > t]))
+    more = draw(st.lists(st.sampled_from(pairs), max_size=2))
+    coupling = draw(st.permutations([far, back] + more))
+    config = CircuitConfig(
+        n_qubits=n, n_layers=draw(st.integers(1, 2)), d_features=d,
+        coupling_map=tuple(coupling), feature_assignment=tuple(assignment),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    angles = ParameterSet.random(config, seed=seed).angles
+    flat = angles.reshape(-1)
+    where = draw(st.lists(st.integers(0, flat.size - 1), min_size=3, max_size=8, unique=True))
+    flat[where[0]] = 0.0
+    for j in where[1:]:
+        flat[j] = draw(st.sampled_from([0.0, math.pi / 2, -math.pi / 2]))
+    X, y = _random_data(config, rows=draw(st.integers(1, 25)), seed=seed)
+    tc = TrainConfig(
+        shots=draw(st.sampled_from([1, 64, 1000])),
+        max_iters=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return config, Dataset(X=X, y=y), tc, ParameterSet(angles)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_shots_training_case())
+def test_shots_training_equals_the_full_pass_oracle_on_drawn_circuits(case):
+    """Resumed shifted evaluations give the full passes' parameters, losses and seeds."""
+    config, ds, tc, init = case
+    seeds, oracle_seeds = [], []
+    with mock.patch.object(simulator, "_shot_estimates", _recording_sampler(seeds)):
+        params, history = train(config, ds, tc, init=init)
+    with mock.patch.object(simulator, "_shot_estimates", _recording_sampler(oracle_seeds)):
+        oracle_params, oracle_history = shots_train_oracle(config, ds, tc, init)
+    assert history == oracle_history
+    assert params.angles.tolist() == oracle_params.angles.tolist()
+    assert seeds == oracle_seeds
+
+
+def test_shots_iteration_walks_each_shifted_evaluation_from_its_block(monkeypatch):
+    """One shots iteration applies the hand count of rotations, not 2P + 2 full passes."""
+    calls = []
+    rotate = simulator._rotate_batch
+
+    def counting(*args):
+        calls.append(1)
+        return rotate(*args)
+
+    monkeypatch.setattr(simulator, "_rotate_batch", counting)
+    config = CircuitConfig(n_qubits=3, n_layers=2)
+    X, y = _random_data(config, rows=6, seed=4)
+    init = ParameterSet.random(config, seed=4)  # no angle is 0.0 or +-pi/2
+    train(config, Dataset(X=X, y=y), TrainConfig(shots=32, max_iters=1), init=init)
+    n, L = config.n_qubits, config.n_layers
+
+    def from_block(b):
+        """Rotations and encodings from W_b's first rotation to the end."""
+        return 3 * n * (L + 1 - b) + n * (L - b)
+
+    scoring = 2 * from_block(0)  # angles 0 and angles 1, each a full pass
+    prefix = from_block(0)  # one unshifted pass that saves each block's start
+    shifted = sum(2 * 3 * n * from_block(b) for b in range(L + 1))
+    assert len(calls) == scoring + prefix + shifted
+    assert len(calls) < (2 + 2 * init.angles.size) * from_block(0)
+
+
+def _walk_entries():
+    config = CircuitConfig(n_qubits=3, n_layers=2)
+    params = ParameterSet.random(config, seed=5)
+    X, y = _random_data(config, rows=7, seed=5)
+    shots = NoiseConfig(shots=16, seed=1)
+    return {
+        "run_circuit_batch": lambda: simulator.run_circuit_batch(config, params, X),
+        "expectation_batch": lambda: expectation_batch(config, params, X),
+        "expectation_batch-shots": lambda: expectation_batch(config, params, X, shots),
+        "mse_gradient": lambda: mse_gradient(config, params, X, y),
+        "train-shots": lambda: train(
+            config, Dataset(X=X, y=y), TrainConfig(shots=16, max_iters=1), init=params
+        ),
+    }
+
+
+@pytest.mark.parametrize("caller", [None, 2048], ids=["default", "caller-set"])
+@pytest.mark.parametrize("entry", sorted(_walk_entries()))
+def test_walks_scope_the_ufunc_buffer_and_restore_the_callers(monkeypatch, entry, caller):
+    """Every kernel runs at the walks' buffer size; the caller's size is back
+    after the call returns, and after a kernel raises halfway through."""
+    call = _walk_entries()[entry]
+    previous = np.getbufsize()
+    seen, fail_at = [], []
+    apply_1q = simulator._apply_1q
+
+    def recording(*args):
+        seen.append(np.getbufsize())
+        if len(seen) in fail_at:
+            raise RuntimeError("kernel failed")
+        return apply_1q(*args)
+
+    monkeypatch.setattr(simulator, "_apply_1q", recording)
+    try:
+        if caller is not None:
+            np.setbufsize(caller)
+        expected = np.getbufsize()
+        call()
+        assert np.getbufsize() == expected
+        assert set(seen) == {simulator._WALK_BUFSIZE}
+        fail_at.append(len(seen) // 2)
+        seen.clear()
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            call()
+        assert np.getbufsize() == expected
+    finally:
+        np.setbufsize(previous)
 
 
 # ---------------------------------------------------------------------------
