@@ -16,8 +16,9 @@ from fourier_surrogates import (
     bound_lrr_features,
     bound_min_features,
     empirical_kernel_sup,
-    enumerate_canonical,
     estimate_memory,
+    kernel_sup_term,
+    sample_distinct,
     sigma_p_of,
 )
 
@@ -31,11 +32,11 @@ print()
 # Bound inputs for a concrete small spectrum.
 desc = SpectrumDescriptor(omega_max=(2, 2))
 sigma = sigma_p_of(desc)
-sup_term, sup_err = empirical_kernel_sup(
-    desc, enumerate_canonical(desc, cap=100), trial_points=200, seed=0
-)
+sup_term = kernel_sup_term(desc, trial_points=200, seed=0)
+_, sup_err = empirical_kernel_sup(desc, sample_distinct(desc, 6, seed=0), trial_points=200, seed=0)
 print(f"2-d spectrum with omega_max (2, 2): sigma_p = {sigma:.4f}, "
-      f"empirical kernel sup term = {sup_term:.4f} (+/- {sup_err:.1e})")
+      f"empirical kernel sup term = {sup_term:.4f}")
+print(f"sup kernel error of six sampled frequencies out of 12: {sup_err:.3f}")
 print(f"dimension constant beta_2 = {bound_beta_d(2):.4f}\n")
 
 print("sufficient frequency count D vs target error epsilon:")

@@ -52,15 +52,15 @@ from .pipeline import (
     bound_beta_d,
     bound_lrr_features,
     bound_min_features,
-    empirical_kernel_sup,
     estimate_memory,
+    kernel_sup_term,
     sigma_p_of,
     surrogate_exact,
     surrogate_rff,
     train,
 )
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
-from .spectrum import SpectrumDescriptor, enumerate_canonical, omega_max_of
+from .spectrum import SpectrumDescriptor, omega_max_of
 from .surrogate import DEFAULT_RCOND, load_model, mse
 
 __all__ = ["main"]
@@ -350,13 +350,7 @@ def cmd_bounds(args) -> None:
     if args.kernel_sup_term is not None:
         sup_term = args.kernel_sup_term
     elif desc is not None:
-        sup_term, _ = empirical_kernel_sup(
-            desc,
-            enumerate_canonical(desc, cap=args.cap),
-            trial_points=args.trial_points,
-            seed=args.seed,
-            cap=args.cap,
-        )
+        sup_term = kernel_sup_term(desc, trial_points=args.trial_points, seed=args.seed)
     else:
         raise _UsageError("provide --kernel-sup-term when no spectrum is given")
     alpha = bound_alpha_epsilon(args.epsilon, sup_term)
@@ -507,7 +501,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell", type=float, default=None)
     p.add_argument("--kernel-sup-term", type=float, default=None)
     p.add_argument("--trial-points", type=int, default=200)
-    p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--lam", type=float, default=None, help="ridge strength for the depth-aware bound")
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)

@@ -96,6 +96,7 @@ __all__ = [
     "kernel_error_probability",
     "lattice_kernel",
     "empirical_kernel_sup",
+    "kernel_sup_term",
     "sigma_p_of",
 ]
 
@@ -558,36 +559,47 @@ def lattice_kernel(freqs, deltas: np.ndarray) -> np.ndarray:
     return np.mean(np.cos(phases, out=phases), axis=1)
 
 
-def empirical_kernel_sup(
-    desc: SpectrumDescriptor,
-    freq_sample,
-    trial_points: int = 200,
-    seed: int = 0,
-    cap: int = 10**6,
-) -> tuple[float, float]:
-    """Monte-Carlo suprema comparing the exact and the sampled kernel.
-
-    The exact kernel averages cos(w . (x - y)) over the full canonical
-    lattice, the approximate one over ``freq_sample``. Over
-    ``trial_points`` random pairs in [0, 2*pi)^d this returns
-
-    * the empirical sup of 1/2 + 1/2 k(2x, 2y) - k(x, y) (feeds
-      bound_alpha_epsilon), and
-    * the empirical sup of |k(x - y) - k_tilde(x - y)|.
-    """
+def _trial_deltas(d: int, trial_points: int, seed: int) -> np.ndarray:
     if trial_points < 1:
         raise ValueError("trial_points must be at least 1")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 2.0 * math.pi, size=(trial_points, desc.d))
-    y = rng.uniform(0.0, 2.0 * math.pi, size=(trial_points, desc.d))
-    delta = x - y
+    x, y = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(2, trial_points, d))
+    return x - y
+
+
+def _full_lattice_kernel(desc: SpectrumDescriptor, deltas: np.ndarray) -> np.ndarray:
+    """``lattice_kernel`` over the whole canonical lattice, in closed form: with
+    s_j = 2 sum_{k=1}^{omega_j} cos(k delta_j), E_j = E_{j-1}(1 + s_j) + s_j is
+    prod_j (1 + s_j) - 1, twice the canonical sum, formed without subtracting 1
+    (so omega (1,) gives cos exactly), and E_d / (N - 1) is the mean."""
+    n = lattice_size(desc)
+    if n == 1:
+        raise ValueError("the spectrum has no nonzero frequency, so its kernel is undefined")
+    acc = np.zeros(len(deltas))
+    for w, t in zip(desc.omega_max, deltas.T):
+        s = 2.0 * np.cos(np.outer(t, np.arange(1, w + 1))).sum(axis=1)
+        acc = acc * (1.0 + s) + s
+    return acc / (n - 1)
+
+
+def kernel_sup_term(desc: SpectrumDescriptor, trial_points: int = 200, seed: int = 0) -> float:
+    """Sup of 1/2 + 1/2 k(2x, 2y) - k(x, y) over ``trial_points`` random pairs in
+    [0, 2*pi)^d, k the full-lattice kernel (feeds bound_alpha_epsilon)."""
+    delta = _trial_deltas(desc.d, trial_points, seed)
+    k_double = _full_lattice_kernel(desc, 2.0 * delta)
+    return float(np.max(0.5 + 0.5 * k_double - _full_lattice_kernel(desc, delta)))
+
+
+def empirical_kernel_sup(
+    desc: SpectrumDescriptor, freq_sample, trial_points: int = 200, seed: int = 0, cap: int = 10**6
+) -> tuple[float, float]:
+    """``kernel_sup_term`` and, over its pairs, the sup of |k - k_tilde| for the mean
+    k_tilde over ``freq_sample``. k here averages the canonical lattice enumerated
+    under ``cap``, so a sample that is the whole lattice reads exactly 0."""
+    delta = _trial_deltas(desc.d, trial_points, seed)
     k_samp = lattice_kernel(freq_sample, delta)  # validates the sample before the lattice
-    full = enumerate_canonical(desc, cap=cap)
-    k_full = lattice_kernel(full, delta)
-    k_double = lattice_kernel(full, 2.0 * delta)
-    sup_term = float(np.max(0.5 + 0.5 * k_double - k_full))
-    sup_err = float(np.max(np.abs(k_full - k_samp)))
-    return sup_term, sup_err
+    sup_term = kernel_sup_term(desc, trial_points, seed)
+    k_full = lattice_kernel(enumerate_canonical(desc, cap=cap), delta)
+    return sup_term, float(np.max(np.abs(k_full - k_samp)))
 
 
 def sigma_p_of(desc: SpectrumDescriptor) -> float:

@@ -254,18 +254,17 @@ def test_bounds_circuit_route_derives_spectrum(tmp_path):
     assert "lrr_features" not in doc
 
 
-def test_bounds_cap_reaches_the_kernel_enumeration(tmp_path, monkeypatch):
-    caps = []
-    real = cli.empirical_kernel_sup
+def test_bounds_enumerates_no_lattice_at_nine_qubits(tmp_path, monkeypatch):
+    # a lattice of 1 953 125 points, which no bounds run enumerates: the
+    # kernel's sup term is taken in closed form
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the lattice was enumerated")
 
-    def spy(*args, **kwargs):
-        caps.append(kwargs.get("cap"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "empirical_kernel_sup", spy)
-    assert run_cli("bounds", "--epsilon", 0.2, "--qubits", 2, "--layers", 1,
-                   "--cap", 123, "--trial-points", 2, "--out-dir", tmp_path) == 0
-    assert caps == [123]
+    for module in (cli, fs.pipeline, fs.spectrum):
+        monkeypatch.setattr(module, "enumerate_canonical", unreachable, raising=False)
+    assert run_cli("bounds", "--epsilon", 0.1, "--qubits", 9, "--layers", 2,
+                   "--out-dir", tmp_path) == 0
+    assert np.isfinite(read_json(tmp_path / "bounds.json")["kernel_sup_term"])
 
 
 def test_bounds_requires_a_spectrum_or_sigma(tmp_path):
@@ -379,6 +378,7 @@ _UNREAD_FLAGS = [
     ("estimate", "--depolarizing", "0.1"),
     ("bounds", "--shots", "5"),
     ("bounds", "--depolarizing", "0.1"),
+    ("bounds", "--cap", "5"),
 ]
 
 _VALID_ARGV = {
@@ -507,6 +507,16 @@ def test_bounds_of_a_spectrum_without_nonzero_frequency_exits_4(tmp_path, capsys
     err = last_stderr_json(capsys)
     assert err["error"] == "ValueError"
     assert "no nonzero frequency" in err["message"]
+
+
+def test_bounds_kernel_of_a_spectrum_without_nonzero_frequency_exits_4(tmp_path, capsys):
+    # sigma_p is given, so the kernel's sup term is the first to meet the empty spectrum
+    rc = run_cli("bounds", "--epsilon", 0.1, "--omega-max", 0, 0, "--sigma-p", 1,
+                 "--dimension", 2, "--out-dir", tmp_path)
+    assert rc == 4
+    err = last_stderr_json(capsys)
+    assert err["error"] == "ValueError"
+    assert "the spectrum has no nonzero frequency" in err["message"]
 
 
 def test_zero_frequency_budget_exits_4(tmp_path):
@@ -639,9 +649,7 @@ _MIRRORED_DEFAULTS = [
     (["bounds", "--epsilon", 0.1], fs.BoundParams, {
         "c1": "c1", "c2": "c2", "domain_size": "domain_size",
     }),
-    (["bounds", "--epsilon", 0.1], fs.empirical_kernel_sup, {
-        "trial_points": "trial_points", "cap": "cap",
-    }),
+    (["bounds", "--epsilon", 0.1], fs.kernel_sup_term, {"trial_points": "trial_points"}),
     (["surrogate", "rff", "--dataset", "d.json"], fs.NoiseConfig, {
         "depolarizing": "depolarizing_p",
     }),

@@ -1,8 +1,10 @@
 """Surrogation routes, trainer, memory estimator, and bound calculators."""
 
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,7 @@ from fourier_surrogates import (
     fit,
     full_grid,
     kernel_error_probability,
+    kernel_sup_term,
     lattice_kernel,
     lattice_size,
     mse,
@@ -1064,6 +1067,83 @@ def _nonzero_box(draw, max_points=10**5):
 @given(_nonzero_box())
 def test_sigma_p_closed_form_equals_enumeration_on_drawn_boxes(desc):
     assert sigma_p_of(desc) == _sigma_p_enumerated(desc)
+
+
+def _assert_full_lattice_kernel_matches_enumeration(desc, atol):
+    W = enumerate_canonical(desc, cap=lattice_size(desc))
+    deltas = pipeline._trial_deltas(desc.d, 200, 0)
+    for t in (deltas, 2.0 * deltas):
+        np.testing.assert_allclose(
+            pipeline._full_lattice_kernel(desc, t), lattice_kernel(W, t), rtol=0, atol=atol
+        )
+
+
+# the largest difference on these boxes is 5.6e-16, at 2 delta on (3, 3)
+@pytest.mark.parametrize(
+    "omega",
+    [(2, 2), (3, 3), (3, 1, 2), (0, 5, 0, 3), (2,) * 4, (2,) * 7, (1,) * 9, (12, 12, 12)],
+)
+def test_full_lattice_kernel_equals_the_enumerated_kernel(omega):
+    _assert_full_lattice_kernel_matches_enumeration(SpectrumDescriptor(omega), atol=1e-15)
+
+
+# Both sides round each phase k * delta, so with omega_i up to 40 and |2 delta|
+# up to 4 pi each sits up to 4e-15 from a long-double evaluation of the mean;
+# over 2 000 draws the two differed by at most 4.7e-15. Lattices of at most
+# 10**4 points keep the enumerated side's (200, N / 2) phase matrix at 8 MB.
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_box(max_points=10**4))
+def test_full_lattice_kernel_equals_the_enumerated_kernel_on_drawn_boxes(desc):
+    _assert_full_lattice_kernel_matches_enumeration(desc, atol=1e-14)
+
+
+def test_full_lattice_kernel_of_one_frequency_is_the_cosine():
+    deltas = pipeline._trial_deltas(1, 200, 0)
+    k = pipeline._full_lattice_kernel(SpectrumDescriptor((1,)), deltas)
+    assert np.array_equal(k, lattice_kernel([(1,)], deltas))
+    assert np.array_equal(k, np.cos(deltas[:, 0]))
+
+
+def test_kernel_sup_term_is_empirical_kernel_sups_first_value():
+    desc = SpectrumDescriptor((2, 2))
+    expected, _ = empirical_kernel_sup(desc, [(1, 0)], trial_points=50, seed=4)
+    assert kernel_sup_term(desc, trial_points=50, seed=4) == expected
+    with pytest.raises(ValueError, match="no nonzero frequency"):
+        kernel_sup_term(SpectrumDescriptor((0, 0)))
+    with pytest.raises(ValueError, match="trial_points"):
+        kernel_sup_term(desc, trial_points=0)
+
+
+def test_kernel_sup_term_holds_no_lattice_sized_array():
+    desc = SpectrumDescriptor((2,) * 9)  # N = 1 953 125
+    kernel_sup_term(desc, trial_points=1)  # numpy imports np.random on first use
+    tracemalloc.start()
+    try:
+        kernel_sup_term(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_the_lattice_is_enumerated_only_by_the_exact_route_and_the_sample_comparison():
+    """Every enumerate_canonical call in src/ sits in surrogate_exact or
+    empirical_kernel_sup; the full-lattice kernel is taken in closed form."""
+    calls = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "enumerate_canonical" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            calls.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert sorted(calls) == [("pipeline", "empirical_kernel_sup"), ("pipeline", "surrogate_exact")]
 
 
 def test_sigma_p_rejects_a_spectrum_without_nonzero_frequency():
