@@ -19,11 +19,19 @@ under the threshold. Per seed a bracket-plus-bisection search probes
 prefixes of one frequency draw (or one row shuffle): ``sample_distinct``
 is ordered by draw, so a probe at D frequencies draws just D and gets
 the first D of every longer draw, while a probe at q rows fits the first
-q rows of one design built once per seed. Every probe solves through
-``surrogate.fit``. The reported requirement is the median
-of the per-seed minima; under per-seed monotonicity of the deviation in
-the probed quantity this equals the smallest quantity whose median
-deviation clears the threshold.
+q rows of one design built once per seed. The design's columns are
+interleaved (1, cos w1, sin w1, cos w2, ...), so a frequency probe's
+design is a column prefix of every wider probe's: a probe wider than
+any before it draws, builds and solves through ``surrogate.fit``, and
+one narrower than the widest tall probe so far (rows >= columns) is a
+triangular solve on a prefix of that probe's QR factorization
+(``surrogate._prefix_solver``, taken once, when the first such probe
+asks). Row probes solve through ``fit``: at criterion 06's shape with
+shots about a third of the tall row prefixes are conditioned past the
+prefix solver's bound. The reported requirement is the median of the per-seed minima; under
+per-seed monotonicity of the deviation in the probed quantity this
+equals the smallest quantity whose median deviation clears the
+threshold.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .datasets import rescale_targets, synth_generate, train_test_split
 from .pipeline import TrainConfig, _fit_rff, fingerprint_of, train
 from .simulator import CircuitConfig, NoiseConfig, ParameterSet, expectation_batch
 from .spectrum import canonical_count, lattice_size, omega_max_of, sample_distinct
-from .surrogate import DEFAULT_RCOND, DesignMatrix, build_real_design, fit, mse
+from .surrogate import DEFAULT_RCOND, DesignMatrix, _prefix_solver, build_real_design, fit, mse
 
 __all__ = [
     "SweepReport",
@@ -180,6 +188,11 @@ def sweep(
     mode the frequency count is pinned at min(max_frequencies, canonical
     lattice size) and the training-row count is searched. Unreachable
     thresholds mark the record saturated instead of aborting.
+
+    A frequency probe below the widest tall probe of its seed reuses that
+    probe's draw, designs and QR factorization, so it solves without a
+    draw, a design build or an SVD; its deviation agrees with ``fit``'s
+    to rounding (the prefix solver's conditioning bound keeps it there).
     """
     if quantity not in ("frequencies", "datapoints"):
         raise ValueError("quantity must be 'frequencies' or 'datapoints'")
@@ -234,20 +247,35 @@ def sweep(
             ).normal(0.0, noise_sd, f_test.shape)
             mse_q = float(np.mean((f_test - y_test) ** 2))
 
-            def designs(D: int):
-                freqs = sample_distinct(desc, D, seed=freq_seed)
-                return build_real_design(X_fit, freqs), build_real_design(X_test, freqs).entries
-
-            pinned = designs(d_cap) if quantity == "datapoints" else None
+            if quantity == "datapoints":
+                freqs = sample_distinct(desc, d_cap, seed=freq_seed)
+                pinned = build_real_design(X_fit, freqs).entries
+                pinned_test = build_real_design(X_test, freqs).entries
             cache: dict[int, float] = {}
+            # the widest tall probe so far: its q, fit and test designs, and
+            # the prefix solver of its fit design once a narrower probe asks
+            held_q, held_fit, held_test, held_solve = 0, None, None, None
 
             def deviation(q: int) -> float:
+                nonlocal held_q, held_fit, held_test, held_solve
                 if q not in cache:
-                    if quantity == "frequencies":
-                        design, test = designs(q)
+                    if quantity == "datapoints":
+                        coef, _ = fit(DesignMatrix(pinned[:q]), f_fit[:q])
+                        test = pinned_test
+                    elif q < held_q:
+                        if held_solve is None:
+                            held_solve = _prefix_solver(held_fit, f_fit)
+                        coef, test = held_solve(1 + 2 * q), held_test[:, : 1 + 2 * q]
                     else:
-                        design, test = DesignMatrix(pinned[0].entries[:q]), pinned[1]
-                    coef, _ = fit(design, f_fit[: len(design.entries)])
+                        freqs = sample_distinct(desc, q, seed=freq_seed)
+                        design = build_real_design(X_fit, freqs)
+                        coef, _ = fit(design, f_fit)
+                        tall = 1 + 2 * q <= n_train
+                        if not tall:
+                            del design  # free it before the test design is built
+                        test = build_real_design(X_test, freqs).entries
+                        if tall:
+                            held_q, held_fit, held_test, held_solve = q, design, test, None
                     mse_s = float(np.mean((test @ coef - y_test) ** 2))
                     cache[q] = (mse_s - mse_q) / mse_q if mse_q > 0 else math.inf
                 return cache[q]

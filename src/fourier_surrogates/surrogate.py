@@ -7,8 +7,12 @@ The deployable artifact is a real truncated Fourier series
 over a set of canonical frequency vectors.  The resource-efficient route
 fits it on the real [1 | cos | sin] basis over sampled canonical
 frequencies, solved by an SVD pseudoinverse with relative singular-value
-truncation.  The exact route (``pipeline.surrogate_exact``) builds no
-design matrix: it reads the coefficients off an FFT of grid values.
+truncation (``fit``).  A search over column prefixes of one tall design
+(``experiments.sweep``) solves them from one QR factorization
+(``_prefix_solver``), handing a design conditioned past
+``PREFIX_COND_BOUND`` back to ``fit``.  The exact route
+(``pipeline.surrogate_exact``) builds no design matrix: it reads the
+coefficients off an FFT of grid values.
 """
 
 from __future__ import annotations
@@ -95,6 +99,42 @@ def fit(
     coeffs, _, _, _ = np.linalg.lstsq(A, y.astype(A.dtype), rcond=rcond)
     residual = float(np.linalg.norm(A @ coeffs - y))
     return coeffs, residual
+
+
+#: Condition number above which ``_prefix_solver`` hands its prefixes to
+#: ``fit``.  Below it ``fit``'s SVD truncates no singular value (the bound
+#: sits two decades under ``1 / DEFAULT_RCOND``), so both solve the same
+#: full-rank problem and differ by rounding only.
+PREFIX_COND_BOUND = 1e8
+
+
+def _prefix_solver(design: DesignMatrix, y: np.ndarray):
+    """Least squares on every column prefix of one tall real design.
+
+    Checks the design and targets once, with ``fit``'s messages, and takes
+    the R of the QR factorization of [A | y] once.  The returned function
+    maps k to the coefficients of A[:, :k] against y, R[:k, :k] \\ R[:k, -1]
+    (Golub & Van Loan, Matrix Computations, section 5.3).  Dropping
+    columns cannot raise a tall matrix's condition number, so one SVD of
+    A's R bounds every prefix; above PREFIX_COND_BOUND each prefix is
+    solved by ``fit`` instead.
+    """
+    A = design.entries
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.shape[0] != A.shape[0]:
+        raise ValueError(f"target length {y.shape} does not match {A.shape[0]} rows")
+    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(A)):
+        raise ValueError("design and targets must be finite")
+    if not np.any(A):
+        raise ValueError("design matrix is identically zero")
+    p = A.shape[1]
+    if p > A.shape[0]:
+        raise ValueError(f"prefix solver needs a tall design, got {A.shape}")
+    R = np.linalg.qr(np.column_stack([A, y]), mode="r")
+    s = np.linalg.svd(R[:p, :p], compute_uv=False)
+    if not s[0] <= PREFIX_COND_BOUND * s[-1]:
+        return lambda k: fit(DesignMatrix(A[:, :k]), y)[0]
+    return lambda k: np.linalg.solve(R[:k, :k], R[:k, -1])
 
 
 @dataclass(frozen=True)

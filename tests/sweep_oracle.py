@@ -3,9 +3,10 @@
 Per seed it draws all ``d_cap`` frequencies once and grows one cos/sin
 design over the fit rows and one over the test rows as the probed
 prefix widens, solving each probe with its own ``lstsq``. The package's
-sweep instead draws each probe's own frequency prefix and solves it
-through ``surrogate.fit``; by the prefix property of ``sample_distinct``
-both see the same designs, so their reports agree byte for byte.
+sweep instead draws each widening probe's own frequency prefix, solves it
+through ``surrogate.fit`` and serves narrower probes from one QR
+factorization of it; by the prefix property of ``sample_distinct`` both
+see the same designs, so their reports agree byte for byte.
 Arguments are taken as valid: ``experiments.sweep`` checks them. Not a
 test module: the tests import it from here.
 """

@@ -192,6 +192,61 @@ def test_sweep_matches_the_growing_design_oracle_byte_for_byte(quantity, noise):
     assert saturated > 0 or not noise
 
 
+def _recording(calls: list, f):
+    def wrapper(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return f(a, *args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("noise", [{}, {"shots": 1024}])
+def test_sweep_matches_the_oracle_across_the_tall_wide_boundary(monkeypatch, noise):
+    # n = 3 with one layer has 13 canonical vectors, up to 27 columns
+    # against 21 training rows: probes at q <= 10 are tall (prefixes of one
+    # R), wider ones go through fit, and a wide bracket step can leave
+    # tall bisection probes below it
+    qr, lstsq = [], []
+    for base_seed in range(4):
+        kw = dict(
+            quantity="frequencies", qubit_range=(3,), thresholds=(1e-9, 0.1, 0.5),
+            seeds=3, n_layers=1, dataset_size=30, max_frequencies=100,
+            base_seed=base_seed, **noise,
+        )
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "qr", _recording(qr, np.linalg.qr))
+            m.setattr(np.linalg, "lstsq", _recording(lstsq, np.linalg.lstsq))
+            got = json.dumps(sweep(**kw).to_json_dict())
+        assert got == json.dumps(sweep_oracle.sweep(**kw).to_json_dict())
+    assert qr and all(rows == 21 for rows, cols in qr)
+    assert any(cols > rows for rows, cols in lstsq)
+
+
+def test_sweep_factors_once_and_solves_only_bracket_steps(monkeypatch):
+    # every probe of this cell is tall (at most 33 columns on 42 rows):
+    # each bracket step draws, builds and solves through fit, the search
+    # then factors the good step's design once, and every bisection probe
+    # is a triangular solve on a prefix of it
+    probes, qr, lstsq, draws = [], [], [], []
+
+    def recorded_search(deviation, lo, hi, threshold):
+        return _minimal_quantity(lambda q: probes.append(q) or deviation(q), lo, hi, threshold)
+
+    monkeypatch.setattr(experiments, "_minimal_quantity", recorded_search)
+    monkeypatch.setattr(np.linalg, "qr", _recording(qr, np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "lstsq", _recording(lstsq, np.linalg.lstsq))
+    monkeypatch.setattr(
+        experiments, "sample_distinct", _recording(draws, experiments.sample_distinct)
+    )
+    sweep("frequencies", (3,), seeds=1, dataset_size=60)
+    bracket = probes[:1]
+    while len(bracket) < len(probes) and probes[len(bracket)] == 2 * bracket[-1]:
+        bracket.append(probes[len(bracket)])
+    assert 1 + 2 * max(probes) <= 42 and len(probes) > len(bracket)
+    assert len(lstsq) == len(draws) == len(bracket)
+    assert len(qr) == 1
+
+
 @pytest.mark.parametrize(
     "overrides, match",
     [({"seeds": 0}, "at least one seed is required"), ({"n_frequencies": 0}, "n_frequencies")],

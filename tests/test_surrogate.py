@@ -18,6 +18,7 @@ from fourier_surrogates import (
     SpectrumDescriptor,
     SurrogateModel,
     build_real_design,
+    canonical_count,
     evaluate_terms,
     fit,
     full_grid,
@@ -29,6 +30,7 @@ from fourier_surrogates import (
     surrogate_rff,
 )
 from fourier_surrogates.cli import _write_json
+from fourier_surrogates.surrogate import PREFIX_COND_BOUND, DesignMatrix, _prefix_solver
 from dense_oracle import build_complex_design, complex_fit_to_real
 
 # ---------------------------------------------------------------------------
@@ -188,6 +190,118 @@ def test_fit_is_the_one_least_squares_solve_in_the_package():
     for path in sorted(Path(fourier_surrogates.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     assert calls == [("surrogate", "fit")]
+
+
+def test_qr_is_called_only_by_the_prefix_solver():
+    """Every np.linalg.qr call in src/ sits in surrogate._prefix_solver."""
+    calls = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "qr" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            calls.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(fourier_surrogates.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert calls == [("surrogate", "_prefix_solver")]
+
+
+# ---------------------------------------------------------------------------
+# prefix solver: every column prefix of one tall design from one R
+# ---------------------------------------------------------------------------
+
+
+def _prefix_tolerance(A: np.ndarray, y: np.ndarray, residual: float) -> float:
+    """Relative distance allowed between two backward-stable solutions.
+
+    The least-squares perturbation bound (Golub & Van Loan, Theorem 5.3.1)
+    for a relative perturbation e of A and y is e (2 kappa / cos(theta) +
+    kappa^2 tan(theta)), with sin(theta) = |r| / |y|; each solver stays
+    within it of the exact solution, so their distance stays within twice
+    that. e = m k eps covers both algorithms' backward errors. Below the
+    solver's bound (kappa <= 1e8) and at a zero residual that is at most
+    4e8 m k eps; a nonzero residual adds the kappa^2 term.
+    """
+    m, k = A.shape
+    s = np.linalg.svd(A, compute_uv=False)
+    kappa = s[0] / s[-1]
+    sin = min(residual / np.linalg.norm(y), 1.0)
+    cos = np.sqrt(1.0 - sin**2)
+    e = m * k * np.finfo(float).eps
+    return 2 * e * (2 * kappa / cos + kappa**2 * sin / cos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(3, 40),
+    d=st.integers(1, 3),
+    span=st.sampled_from([1.0, 2 * np.pi]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_solver_matches_fit_on_every_prefix(m, d, span, seed):
+    # inputs in [0, 1) give the sweep's ill-conditioned designs, inputs
+    # over a whole period well-conditioned ones
+    rng = np.random.default_rng(seed)
+    desc = SpectrumDescriptor((3,) * d)
+    freqs = sample_distinct(desc, min((m - 1) // 2, canonical_count(desc)), seed=seed)
+    A = build_real_design(rng.uniform(0.0, span, size=(m, d)), freqs).entries
+    y = rng.normal(size=m)
+    solve = _prefix_solver(DesignMatrix(A), y)
+    s = np.linalg.svd(A, compute_uv=False)
+    over = not s[0] <= PREFIX_COND_BOUND * s[-1]
+    for k in range(1, A.shape[1] + 1):
+        prefix = np.ascontiguousarray(A[:, :k])
+        want, residual = fit(DesignMatrix(prefix), y)
+        got = solve(k)
+        if over:
+            assert np.array_equal(got, want)
+        else:
+            tol = _prefix_tolerance(prefix, y, residual)
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("damage", ["duplicate", "scale"])
+def test_prefix_solver_hands_an_ill_conditioned_design_to_fit(damage):
+    # one bad column puts the whole design over the bound, so even the
+    # prefixes before it take fit's path, and every prefix equals fit
+    rng = np.random.default_rng(6)
+    A = build_real_design(rng.uniform(0, 2 * np.pi, size=(30, 2)), [(1, 0), (0, 1), (1, 1)])
+    A = A.entries.copy()
+    if damage == "duplicate":
+        A = np.column_stack([A, A[:, 2]])
+    else:
+        A[:, 3] *= 1e-9
+    y = rng.normal(size=30)
+    solve = _prefix_solver(DesignMatrix(A), y)
+    for k in range(1, A.shape[1] + 1):
+        want, _ = fit(DesignMatrix(np.ascontiguousarray(A[:, :k])), y)
+        assert np.array_equal(solve(k), want)
+
+
+@pytest.mark.parametrize("solver", [fit, _prefix_solver])
+def test_prefix_solver_rejects_what_fit_rejects(solver):
+    design = build_real_design(np.zeros((3, 1)) + 0.5, [(1,)])
+    with pytest.raises(ValueError, match="does not match 3 rows"):
+        solver(design, np.zeros(4))
+    with pytest.raises(ValueError, match="must be finite"):
+        solver(design, np.array([np.nan, 0.0, 0.0]))
+    entries = design.entries.copy()
+    entries[1, 1] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        solver(DesignMatrix(entries), np.zeros(3))
+    with pytest.raises(ValueError, match="identically zero"):
+        solver(DesignMatrix(np.zeros((3, 2))), np.ones(3))
+
+
+def test_prefix_solver_needs_a_tall_design():
+    design = build_real_design(np.array([[0.1], [0.2]]), [(1,)])
+    with pytest.raises(ValueError, match="tall design"):
+        _prefix_solver(design, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
