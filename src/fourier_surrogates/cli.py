@@ -26,6 +26,7 @@ import os
 import sys
 import time
 import traceback
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,6 @@ class _Run:
     def finish(self) -> None:
         config = {}
         for key, value in vars(self.args).items():
-            if key == "func":
-                continue
             config[key] = str(value) if isinstance(value, Path) else value
         name = f"{self.command}_manifest.json"
         doc = {
@@ -421,7 +420,11 @@ def cmd_showcase(args) -> None:
     run.finish()
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    as it was, and every default is immutable, so no call hands the next
+    one a value it could have changed. ``main`` runs ``cmd_<subcommand>``."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
@@ -436,7 +439,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=["trig-poly", "circuit"], default="trig-poly")
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--output", default="dataset.json")
-    p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("preprocess", parents=[common], help="clean and transform a dataset")
     p.add_argument("--input", required=True, help="dataset JSON or CSV file")
@@ -448,7 +450,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--rescale-targets", action="store_true")
     p.add_argument("--split", type=float, default=None, help="train fraction")
     p.add_argument("--output", default="processed.json")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", parents=[common], help="fit circuit parameters to data")
     p.add_argument("--dataset", required=True)
@@ -458,7 +459,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--output", default="trained.json")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("surrogate", help="build a classical surrogate")
     modes = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
@@ -467,7 +467,6 @@ def _build_parser() -> _Parser:
     m.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest lattice (grid values computed) accepted")
     m.add_argument("--output", default="model.json")
-    m.set_defaults(func=cmd_surrogate)
     m = modes.add_parser("rff", parents=[common], help="sampled frequencies at given points")
     _add_circuit_flags(m)
     m.add_argument("--dataset", required=True, help="input points to evaluate and fit")
@@ -476,20 +475,17 @@ def _build_parser() -> _Parser:
                    help="relative singular-value cutoff of the least-squares fit")
     _add_noise_flags(m)
     m.add_argument("--output", default="model.json")
-    m.set_defaults(func=cmd_surrogate)
 
     p = sub.add_parser("eval", parents=[common], help="score a surrogate on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--circuit", help="JSON file with config + params (from train)")
     p.add_argument("--output", default="eval.json")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("estimate", parents=[common], help="exact-route memory footprint")
     _add_shape_flags(p, required=True)
     p.add_argument("--bytes-per-entry", type=int, default=16)
     p.add_argument("--output", default="estimate.json")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bounds", parents=[common], help="feature-count bound calculators")
     p.add_argument("--epsilon", type=float, required=True)
@@ -506,12 +502,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--domain-size", type=int, default=1)
     p.add_argument("--output", default="bounds.json")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", parents=[common], help="minimal-resource scaling sweep")
     p.add_argument("--quantity", choices=["frequencies", "datapoints"], required=True)
     p.add_argument("--qubits", type=int, nargs="+", required=True)
-    p.add_argument("--thresholds", type=float, nargs="+", default=[0.1])
+    p.add_argument("--thresholds", type=float, nargs="+", default=(0.1,))
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--dataset-size", type=int, default=500)
@@ -519,7 +514,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-frequencies", type=int, default=10_000)
     p.add_argument("--noise-sd", type=float, default=0.02)
     _add_noise_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("showcase", parents=[common], help="train + surrogate headline run")
     p.add_argument("--qubits", type=int, default=8)
@@ -532,7 +526,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise-sd", type=float, default=0.1)
     p.add_argument("--train-fraction", type=float, default=0.7)
     _add_noise_flags(p)
-    p.set_defaults(func=cmd_showcase)
 
     return parser
 
@@ -547,7 +540,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # looked up per call, not bound into the once-built parser
+        globals()[f"cmd_{args.subcommand}"](args)
         return 0
     except _UsageError as exc:
         return _fail(1, exc)

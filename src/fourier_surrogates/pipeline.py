@@ -22,8 +22,10 @@ Two ways to turn a circuit into a surrogate:
 
 ``train`` fits circuit parameters to data by plain gradient descent.
 Noiseless gradients are adjoint-state (``simulator.mse_gradient``: one
-forward and one backward sweep through the gates, whatever the number
-of angles P). Training with shots keeps the parameter-shift rule, which
+forward pass that saves the state at each block's start, and one sweep
+back that carries only the costate and reads the states it needs from
+those starts, whatever the number of angles P; it holds L + 2
+state-sized arrays). Training with shots keeps the parameter-shift rule, which
 needs only sampled expectations: for any Rx/Ry/Rz angle,
 df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly, so one
 iteration costs 2P + 1 sampled circuit evaluations. The 2P shifted ones

@@ -32,10 +32,14 @@ vectors in one vectorized pass (grid or dataset sampling), and
 ``run_circuit``/``expectation`` for a single input; there are no
 single-gate helpers. ``mse_gradient`` gives exact predictions together
 with the gradient of their mean squared error in the angles, by the
-adjoint method. ``state_coefficients`` gives the state's Fourier
-coefficients in the inputs, for every input at once. All three walk the
-one gate list that ``_gates`` yields. ``_shift_estimates`` gives the
-sampled parameter-shift evaluations that shots training needs.
+adjoint method: a forward pass that saves each block's start, then a
+sweep back that carries only the costate. ``state_coefficients`` gives
+the state's Fourier coefficients in the inputs, for every input at once.
+The batch walk (``run_circuit_batch``, the forward pass) and the
+coefficient walk both walk the one gate list that ``_gates`` yields; the
+sweep back takes each block's CNOTs off at once and its rotations per
+qubit. ``_shift_estimates``
+gives the sampled parameter-shift evaluations that shots training needs.
 
 Layout: inside this module a batch is held amplitudes first, as
 (2**n, rows), and a coefficient tensor as (2**n, k_0, ..., k_{d-1}).
@@ -45,6 +49,9 @@ preallocated buffer that the walk then swaps with its input, so no gate
 allocates. W_0 acts before any input, so a batch walk applies it once,
 to one (2**n, 1) column, and broadcasts that column into the batch; the
 same kernels run in the same order as they would on every row. The
+adjoint holds (L + 2) state-sized arrays: the forward pass's two
+buffers, which the sweep back reuses, and the L block starts it saved;
+at W_0 the sweep works on one column again. The
 per-row walks (forward pass, adjoint sweep, shifted evaluations) run
 with numpy's ufunc buffer scoped to 512 elements (``_walk_buffer``),
 which changes no value. The public boundary stays rows first:
@@ -444,16 +451,53 @@ def run_circuit_batch(
     return states.T.copy()
 
 
-def _overlap(sweep: np.ndarray, qubit: int, scratch: np.ndarray) -> np.ndarray:
-    """M[a, b] = sum of conj(lam_a) psi_b over rows and amplitudes, a, b the qubit's bit.
+@lru_cache(maxsize=256)
+def _uncoupling(dim: int, coupling_map: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The permutation that un-applies the coupling map's CNOTs at once.
 
-    ``sweep`` holds psi and lam as (2**n, 2, rows); ``scratch`` holds at
-    least half as many entries, and receives conj(lam).
+    ``np.take(states, it, axis=0)`` equals un-applying the CNOTs one by
+    one, last first, each by its own ``_cnot_permutation``.
     """
-    split = sweep.reshape((1 << qubit, 2, -1) + sweep.shape[1:])
-    lam = scratch.reshape(-1)[: sweep[:, 1].size].reshape(split[..., 1, :].shape)
-    np.conjugate(split[..., 1, :], out=lam)
-    return np.einsum("iajr,ibjr->ab", lam, split[..., 0, :])
+    index = np.arange(dim)
+    for c, t in reversed(coupling_map):
+        index = index[_cnot_permutation(dim, c, t)]
+    index.flags.writeable = False  # one cached array serves every caller
+    return index
+
+
+def _unapply_block(config: CircuitConfig, angles, block: int, lam, spare, start, grad):
+    """Un-apply W_block from the costate ``lam`` and write grad[block].
+
+    ``lam`` is the costate after W_block and ``start`` the state that
+    enters W_block's rotations, both (2**n, rows); ``spare`` is a buffer
+    of their shape. The CNOTs come off as one permutation
+    (``_uncoupling``) and each qubit's Rx, Ry, Rz as the fused 2x2
+    U = Rx^H Ry^H Rz^H, so lam ends up beside ``start``. There a qubit's
+    overlap M[a, b] = sum of conj(lam_a) start_b over its bit a, b and
+    the rows holds every gradient of its three angles: the other qubits'
+    rotations cancel in the sum. Carried forward through a rotation R as
+    conj(R) M R^T, M gives that angle's gradient, the sum over rows of
+    Im<lam|P|psi> = Im sum_ab P[a, b] M[a, b] just after R.
+    Returns (lam, spare).
+    """
+    if config.coupling_map:
+        perm = _uncoupling(len(lam), config.coupling_map)
+        lam, spare = np.take(lam, perm, axis=0, out=spare, mode="clip"), lam
+    rotations = [
+        [np.array(_rotation(axis, theta), dtype=complex) for axis, theta in zip(_AXES, triple)]
+        for triple in angles[block]
+    ]
+    for q, (rx, ry, rz) in enumerate(rotations):
+        undo = rx.conj().T @ (ry.conj().T @ rz.conj().T)
+        lam, spare = _apply_1q(lam, q, undo, spare), lam
+    conj = np.conjugate(lam, out=spare)
+    for q, triple in enumerate(rotations):
+        split = (1 << q, 2, -1)
+        M = np.einsum("iaj,ibj->ab", conj.reshape(split), start.reshape(split))
+        for a, R in enumerate(triple):
+            M = R.conj() @ M @ R.T
+            grad[block, q, a] = np.sum(_PAULIS[a] * M).imag
+    return lam, spare
 
 
 @_walk_buffer()
@@ -462,19 +506,21 @@ def mse_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact predictions f and the gradient of mean((f - y)^2) in the angles.
 
-    Adjoint method: after one forward pass, the costate
-    lam = 2(f - y)/m * O psi is swept back through the circuit together
-    with psi, as one (2**n, 2, rows) array, so that each un-applied gate
-    acts on both. CNOTs and encodings are un-applied gate by gate. A
-    qubit's Rx, Ry, Rz in a trainable block are un-applied at once, as
-    the fused 2x2 U = Rx^H Ry^H Rz^H. Before that, one overlap matrix
-    M[a, b] = sum of conj(lam_a) psi_b over the qubit's bit a, b gives all
-    three gradients: a rotation exp(-i theta P/2) contributes the sum
-    over rows of Im<lam|P|psi> = Im sum_ab P[a, b] M[a, b] to its angle,
-    and un-applying a rotation R carries M to R^T M conj(R). Only psi and
-    lam are held, never the intermediate states, in two sweep-sized
-    buffers, and the forward pass runs in their first halves. The
-    predictions are computed as ``expectation_batch`` computes them.
+    Adjoint method: the forward pass saves the state at the start of
+    each block's rotations (the same ``_forward`` call that
+    ``_shift_estimates`` makes), and only the costate
+    lam = 2(f - y)/m * O psi is swept back through the circuit. At each
+    block b >= 1 ``_unapply_block`` takes the CNOTs off lam as one
+    permutation and each qubit's rotations as one fused 2x2, reads the
+    block's 3n gradients from 2x2 overlaps of lam with the saved start,
+    and the encodings are then un-applied gate by gate. Every row leaves
+    W_0 in the same state, W_0|0..0>'s column, so lam is summed over the
+    rows once and W_0's gradients are read from that one (2**n, 1)
+    column, against |0..0>.
+    The pass holds L + 2 state-sized arrays: the L saved starts and the
+    two buffers the forward pass and the sweep alternate between, one of
+    which takes |psi|^2 first. The predictions are computed as
+    ``expectation_batch`` computes them.
     Returns (f, grad) with grad shaped like ``params.angles``.
     """
     params.validate_for(config)
@@ -484,40 +530,31 @@ def mse_gradient(
     if y.shape != (rows,):
         raise ValueError(f"targets of shape {y.shape} do not match {rows} input rows")
     dim = 2**n
-    size = dim * rows
-    first, second = np.empty(2 * size, dtype=complex), np.empty(2 * size, dtype=complex)
-    psi = _forward(
-        config, params.angles, X, first[:size].reshape(dim, rows), second[:size].reshape(dim, rows)
-    )
-    if not np.may_share_memory(psi, first):
-        first, second = second, first
-    # psi fills the first half of ``first``; its second half takes |psi|^2 as (rows, 2**n)
-    probs = first[size:].view(float)[:size].reshape(rows, dim)
+    shape = (dim, rows)
+    states, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    starts = np.empty((config.n_layers,) + shape, dtype=complex)
+    psi = _forward(config, params.angles, X, states, out, starts)
+    spare = out if psi is states else states
+    # |psi|^2 as (rows, 2**n), a view of the spare buffer
+    probs = spare.reshape(-1).view(float)[: dim * rows].reshape(rows, dim)
     np.abs(psi.T, out=probs)
     np.square(probs, out=probs)
     w = _mean_z_diagonal(n)
     preds = probs @ w
-    sweep, spare = second.reshape(dim, 2, rows), first.reshape(dim, 2, rows)
-    sweep[:, 0] = psi
-    np.multiply(w[:, None], psi, out=sweep[:, 1])
-    sweep[:, 1] *= 2.0 * (preds - y) / rows
-    grad = np.zeros_like(params.angles)
-    for block in range(config.n_layers, -1, -1):
-        for c, t in reversed(config.coupling_map):
-            sweep, spare = _cnot_batch(sweep, c, t, spare), sweep
+    # the costate takes psi's buffer
+    lam = np.multiply(w[:, None], psi, out=psi)
+    lam *= 2.0 * (preds - y) / rows
+    grad = np.empty_like(params.angles)
+    for block in range(config.n_layers, 0, -1):
+        start = starts[block - 1]
+        lam, spare = _unapply_block(config, params.angles, block, lam, spare, start, grad)
         for q in range(n - 1, -1, -1):
-            M = _overlap(sweep, q, spare)
-            undo = np.eye(2, dtype=complex)
-            for a in (2, 1, 0):
-                grad[block, q, a] = np.sum(_PAULIS[a] * M).imag
-                R = np.array(_rotation(_AXES[a], params.angles[block, q, a]), dtype=complex)
-                M = R.T @ M @ R.conj()
-                undo = R.conj().T @ undo
-            sweep, spare = _apply_1q(sweep, q, undo, spare), sweep
-        if block:
-            for q in range(n - 1, -1, -1):
-                theta = -X[:, config.feature_assignment[q]]
-                sweep, spare = _rotate_batch(sweep, q, "x", theta, spare), sweep
+            theta = -X[:, config.feature_assignment[q]]
+            lam, spare = _rotate_batch(lam, q, "x", theta, spare), lam
+    column = lam.sum(axis=1, keepdims=True)
+    origin = np.zeros_like(column)
+    origin[0] = 1.0
+    _unapply_block(config, params.angles, 0, column, np.empty_like(column), origin, grad)
     return preds, grad
 
 

@@ -2,14 +2,18 @@
 
 Each test drives ``main(argv)`` in process against a temporary output
 directory and inspects the emitted JSON artifacts, the run manifest,
-and the exit code. One subprocess test checks the module entry point.
+and the exit code. Subprocess tests check the module entry point, that
+in-process runs write a fresh process's bytes, and that artifacts do not
+depend on the OpenBLAS thread count.
 """
 
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -697,3 +701,100 @@ def test_module_entry_point_help():
     for name in ("datagen", "preprocess", "train", "surrogate", "eval",
                  "estimate", "bounds", "sweep", "showcase"):
         assert name in proc.stdout
+
+
+def _fresh_process(argv, cwd, **env):
+    """``python -m fourier_surrogates argv`` in a new interpreter in ``cwd``, with
+    ``env`` added; the package is imported from where this process found it."""
+    package_root = str(Path(fs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourier_surrogates", *map(str, argv)],
+        capture_output=True, text=True, timeout=300, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_parser_serves_every_call_and_carries_nothing_between_them(tmp_path, monkeypatch):
+    """Shots training, then noiseless training, in one process: each writes the
+    bytes a fresh process writes."""
+    assert run_cli("datagen", "--dimension", 2, "--size", 24, "--seed", 1,
+                   "--out-dir", tmp_path) == 0
+    runs = {"shots": ["--shots", 64], "noiseless": []}
+    for name, extra in runs.items():
+        for where in ("same", "fresh"):
+            (tmp_path / where / name).mkdir(parents=True)
+        argv = ["train", "--dataset", tmp_path / "dataset.json", "--qubits", 2,
+                "--layers", 1, "--max-iters", 2, *extra]
+        monkeypatch.chdir(tmp_path / "same" / name)
+        assert run_cli(*argv) == 0
+        _fresh_process(argv, cwd=tmp_path / "fresh" / name)
+    assert cli._build_parser() is cli._build_parser()
+    for name in runs:
+        same, fresh = tmp_path / "same" / name, tmp_path / "fresh" / name
+        assert (same / "trained.json").read_bytes() == (fresh / "trained.json").read_bytes()
+        configs = [read_json(d / "train_manifest.json")["config"] for d in (same, fresh)]
+        assert configs[0] == configs[1]
+        assert configs[0]["shots"] == (64 if name == "shots" else None)
+
+
+def test_main_runs_the_command_function_found_when_it_is_called(tmp_path, monkeypatch):
+    """A ``cmd_*`` replaced after the parser was built is the one that runs."""
+    assert run_cli("estimate", "--qubits", 2, "--out-dir", tmp_path) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_estimate", lambda args: seen.append(args.qubits))
+    assert run_cli("estimate", "--qubits", 3, "--out-dir", tmp_path) == 0
+    assert seen == [3]
+
+
+#: datagen -> noiseless train -> shots train -> surrogate rff -> eval
+_BLAS_CHAIN = [
+    ["datagen", "--dimension", 4, "--size", 300, "--noise-sd", 0.05],
+    ["train", "--dataset", "dataset.json", "--qubits", 6, "--features", 4,
+     "--max-iters", 4, "--output", "noiseless.json"],
+    ["train", "--dataset", "dataset.json", "--qubits", 4, "--max-iters", 2,
+     "--shots", 256, "--output", "shots.json"],
+    ["surrogate", "rff", "--circuit", "noiseless.json", "--dataset", "dataset.json",
+     "--frequencies", 120, "--shots", 512],
+    ["eval", "--model", "model.json", "--dataset", "dataset.json",
+     "--circuit", "noiseless.json"],
+]
+
+
+@pytest.fixture(scope="module")
+def blas_chain_artifacts(tmp_path_factory):
+    """Every artifact of ``_BLAS_CHAIN``, run at one and at two OpenBLAS threads.
+
+    The thread count is read when numpy is imported, so each step runs in
+    a process of its own.
+    """
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path_factory.mktemp(f"blas-{threads}")
+        for argv in _BLAS_CHAIN:
+            _fresh_process([*argv, "--seed", 3], cwd=out, OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = {
+            p.name: p.read_bytes() for p in sorted(out.iterdir()) if "manifest" not in p.name
+        }
+    assert sorted(outputs["1"]) == [
+        "dataset.json", "eval.json", "model.json", "noiseless.json", "shots.json"
+    ]
+    return outputs
+
+
+@pytest.mark.parametrize("artifact", ["dataset.json", "noiseless.json", "shots.json"])
+def test_chain_artifacts_do_not_depend_on_the_blas_thread_count(blas_chain_artifacts, artifact):
+    assert blas_chain_artifacts["1"][artifact] == blas_chain_artifacts["2"][artifact]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="np.linalg.lstsq on the 300 x 241 rff design returns different bits at one "
+    "and at two OpenBLAS threads; the design itself is the same",
+)
+@pytest.mark.parametrize("artifact", ["model.json", "eval.json"])
+def test_rff_chain_artifacts_do_not_depend_on_the_blas_thread_count(
+    blas_chain_artifacts, artifact
+):
+    assert blas_chain_artifacts["1"][artifact] == blas_chain_artifacts["2"][artifact]

@@ -47,6 +47,7 @@ from fourier_surrogates import (
 )
 from fourier_surrogates import pipeline, simulator
 from fourier_surrogates.simulator import mse_gradient
+from adjoint_oracle import psi_lam_mse_gradient
 from dense_oracle import build_complex_design, complex_fit_to_real
 from shift_oracle import shots_train_oracle
 from test_simulator import (
@@ -604,6 +605,64 @@ def test_adjoint_gradient_holds_four_state_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 16 * 2**8 * 350
+
+
+def test_adjoint_gradient_holds_l_plus_two_state_sized_arrays():
+    """The L saved block starts and the two sweep buffers: growth with L is linear."""
+    config = CircuitConfig(n_qubits=8, n_layers=4)
+    X, y = _random_data(config, rows=350, seed=2)
+    params = ParameterSet.random(config, seed=2)
+    tracemalloc.start()
+    try:
+        mse_gradient(config, params, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (config.n_layers + 2.5) * 16 * 2**8 * 350
+
+
+def _assert_adjoint_matches_the_psi_lam_sweep(config, params, X, y):
+    preds, grad = mse_gradient(config, params, X, y)
+    oracle_preds, oracle_grad = psi_lam_mse_gradient(config, params, X, y)
+    np.testing.assert_array_equal(preds, oracle_preds)
+    np.testing.assert_allclose(grad, oracle_grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CircuitConfig(n_qubits=3, n_layers=1),
+        CircuitConfig(n_qubits=4, n_layers=2, coupling_map=((3, 2), (2, 1), (1, 0))),
+        CircuitConfig(n_qubits=3, n_layers=3, coupling_map=((0, 1), (0, 1), (1, 2), (0, 1))),
+        CircuitConfig(
+            n_qubits=4, n_layers=4, d_features=2, coupling_map=((0, 2), (3, 1), (1, 3)),
+            feature_assignment=(1, 1, 0, 1),
+        ),
+        CircuitConfig(
+            n_qubits=5, n_layers=2, d_features=3, coupling_map=((4, 0), (1, 3), (4, 0)),
+            feature_assignment=(2, 0, 1, 0, 2),
+        ),
+        CircuitConfig(n_qubits=2, n_layers=3, coupling_map=()),
+    ],
+    ids=[
+        "chain-1L", "reversed-2L", "repeated-3L", "non-adjacent-d2-4L", "d3-of-5q-2L",
+        "uncoupled-3L",
+    ],
+)
+def test_adjoint_gradient_matches_the_psi_lam_sweep(config):
+    """Predictions bit for bit, gradients to 1e-12, with some angles exactly 0.0."""
+    for seed in range(2):
+        X, y = _random_data(config, rows=17, seed=seed)
+        angles = ParameterSet.random(config, seed=seed).angles
+        angles[np.random.default_rng(seed).random(angles.shape) < 0.25] = 0.0
+        angles[seed, -1] = 0.0
+        _assert_adjoint_matches_the_psi_lam_sweep(config, ParameterSet(angles), X, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_circuit())
+def test_adjoint_gradient_matches_the_psi_lam_sweep_on_drawn_circuits(case):
+    _assert_adjoint_matches_the_psi_lam_sweep(*case)
 
 
 def test_noiseless_training_matches_parameter_shift_descent():
