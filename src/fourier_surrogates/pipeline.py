@@ -244,7 +244,7 @@ def surrogate_exact(
     """Exact surrogate from the state's Fourier coefficients and one FFT.
 
     ``state_coefficients`` gives the state as psi(x) = sum_k C[k]
-    exp(i k.x), from one walk of the gates. On the grid with
+    exp(i k.x), from one walk of the blocks. On the grid with
     T_i = 2*omega_max(i) + 1 points per feature, psi_b is the unscaled
     inverse FFT of C[..., b] zero-padded to T; this is exact, because
     T_i exceeds omega_max(i) and |psi|^2 holds frequencies only up to

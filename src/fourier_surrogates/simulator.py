@@ -35,10 +35,10 @@ with the gradient of their mean squared error in the angles, by the
 adjoint method: a forward pass that saves each block's start, then a
 sweep back that carries only the costate. ``state_coefficients`` gives
 the state's Fourier coefficients in the inputs, for every input at once.
-The batch walk (``run_circuit_batch``, the forward pass) and the
-coefficient walk both walk the one gate list that ``_gates`` yields; the
-sweep back takes each block's CNOTs off at once and its rotations per
-qubit. ``_shift_estimates``
+The batch walk (``run_circuit_batch``, the forward pass, each shifted
+evaluation) and the coefficient walk apply every W_b through one
+``_apply_block``; the sweep back takes each block's CNOTs off at once
+and its rotations per qubit. ``_shift_estimates``
 gives the sampled parameter-shift evaluations that shots training needs.
 
 Layout: inside this module a batch is held amplitudes first, as
@@ -238,8 +238,8 @@ class NoiseConfig:
 
 # ---------------------------------------------------------------------------
 # gate kernels on amplitudes-first batches, (2**n, ...): each writes into a
-# given ``out`` of its input's shape and returns it. Gates come only from
-# ``_gates``, whose qubits ``CircuitConfig`` has validated.
+# given ``out`` of its input's shape and returns it. Their qubits come
+# from a ``CircuitConfig``, which has validated them.
 # ---------------------------------------------------------------------------
 
 
@@ -338,91 +338,54 @@ def _cnot_batch(states, control: int, target: int, out) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block(config: CircuitConfig, block: int):
-    """W_block's gates: Rx, Ry, Rz on every qubit, then the coupling map's CNOTs."""
-    for q in range(config.n_qubits):
-        for a, axis in enumerate(_AXES):
-            yield "rot", q, axis, (block, q, a)
-    for c, t in config.coupling_map:
-        yield "cnot", c, t, None
+def _apply_block(config: CircuitConfig, angles: np.ndarray, block: int, states, out):
+    """Apply W_block to every column of ``states``, alternating with ``out``.
 
-
-def _encoding(config: CircuitConfig):
-    """E(x)'s gates: Rx on every qubit, by the input feature assigned to it."""
-    for q in range(config.n_qubits):
-        yield "enc", q, "x", config.feature_assignment[q]
-
-
-def _gates(config: CircuitConfig, first: int = 0):
-    """The circuit's gates in application order, from W_first's first rotation on.
-
-    Yields ("rot", qubit, axis, (block, qubit, axis index)) for a trainable
-    rotation, whose angle is ``angles[index]``; ("enc", qubit, "x", feature)
-    for an encoding rotation by that input feature; and
-    ("cnot", control, target, None). With ``first`` = 0 that is the whole
-    circuit.
-    """
-    yield from _block(config, first)
-    for block in range(first + 1, config.n_layers + 1):
-        yield from _encoding(config)
-        yield from _block(config, block)
-
-
-def _apply_gate(states, gate, angles: np.ndarray, X: np.ndarray, out) -> np.ndarray:
-    """Apply one gate of ``_gates`` to every row; returns the array holding the result.
-
-    That is ``out``, or ``states`` itself for a trainable rotation by
-    exactly 0.0, which is the identity and is skipped.
-    """
-    kind, a, b, source = gate
-    if kind == "cnot":
-        return _cnot_batch(states, a, b, out)
-    theta = X[:, source] if kind == "enc" else angles[source]
-    if kind == "rot" and theta == 0.0:
-        return states
-    return _rotate_batch(states, a, b, theta, out)
-
-
-def _walk(gates, states, out, angles: np.ndarray, X):
-    """Apply ``gates`` to every column of ``states``, alternating with ``out``.
-
+    Rx, Ry, Rz on every qubit by ``angles[block]``, a rotation by exactly
+    0.0 skipped as the identity it is, then the coupling map's CNOTs.
     Returns (holder, spare): the buffer that holds the result, and the
     other one.
     """
-    for gate in gates:
-        if _apply_gate(states, gate, angles, X, out) is out:
-            states, out = out, states
+    for q, triple in enumerate(angles[block]):
+        for axis, theta in zip(_AXES, triple):
+            if theta != 0.0:
+                states, out = _rotate_batch(states, q, axis, theta, out), states
+    for c, t in config.coupling_map:
+        states, out = _cnot_batch(states, c, t, out), states
     return states, out
 
 
-def _first_block(config: CircuitConfig, angles: np.ndarray) -> np.ndarray:
-    """W_0|0..0> as one (2**n, 1) column.
-
-    W_0 acts before any input, so every row of a batch starts E(x) from
-    this state; its kernels run once, on the column, not once per row.
-    """
-    column = np.zeros((2**config.n_qubits, 1), dtype=complex)
-    column[0] = 1.0
-    return _walk(_block(config, 0), column, np.empty_like(column), angles, None)[0]
+def _apply_encoding(config: CircuitConfig, X: np.ndarray, states, out):
+    """Apply E(x), Rx(x_f) on every qubit, to row x of every column; as ``_apply_block``."""
+    for q, f in enumerate(config.feature_assignment):
+        states, out = _rotate_batch(states, q, "x", X[:, f], out), states
+    return states, out
 
 
 def _forward(
-    config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None
+    config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None, first=0
 ):
     """U(x)|0..0> for every row x of X, walked in two (2**n, rows) buffers.
 
-    ``states`` takes W_0's column (``_first_block``) in every row; each
-    later encoding and block then alternates between ``states`` and
-    ``out``. Given ``starts``, (L, 2**n, rows), starts[b - 1] receives the
-    state that enters W_b's rotations. Returns the buffer that holds the
-    final states.
+    W_0 acts before any input, so its kernels run once, on one (2**n, 1)
+    column, which ``states`` takes in every row; with ``first`` = b >= 1
+    the walk resumes at W_b from the state ``states`` already holds.
+    Each later encoding and block alternates between ``states`` and
+    ``out``. Given ``starts``, (L, 2**n, rows), starts[b - 1] receives
+    the state that enters W_b's rotations. Returns the buffer that holds
+    the final states.
     """
-    states[...] = _first_block(config, angles)
-    for block in range(1, config.n_layers + 1):
-        states, out = _walk(_encoding(config), states, out, angles, X)
+    if first == 0:
+        column = np.zeros((len(states), 1), dtype=complex)
+        column[0] = 1.0
+        states[...] = _apply_block(config, angles, 0, column, np.empty_like(column))[0]
+    else:
+        states, out = _apply_block(config, angles, first, states, out)
+    for block in range(first + 1, config.n_layers + 1):
+        states, out = _apply_encoding(config, X, states, out)
         if starts is not None:
             starts[block - 1] = states
-        states, out = _walk(_block(config, block), states, out, angles, X)
+        states, out = _apply_block(config, angles, block, states, out)
     return states
 
 
@@ -434,6 +397,8 @@ def _inputs(config: CircuitConfig, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("inputs must be finite")
+    if len(X) == 0:
+        raise ValueError("at least one input row is required")
     return X
 
 
@@ -596,15 +561,16 @@ def state_coefficients(config: CircuitConfig, params: ParameterSet) -> np.ndarra
     counts the qubits carrying feature f. Returns C with shape
     (L*g_0 + 1, ..., L*g_{d-1} + 1, 2**n), C-contiguous.
 
-    One walk of the gates that ``run_circuit_batch`` and
-    ``mse_gradient`` walk: trainable rotations and CNOTs act on the
-    coefficient rows as on a batch of states, and each encoding splits
-    every row into its (I+/-X)/2 halves (``_encode_coefficients``). The
-    tensor grows along a feature's axis at each of its encodings, so the
-    gates act only on the frequencies reached so far. The walk holds the
-    tensor amplitudes first, (2**n, k_0, ..., k_{d-1}), in two buffers
-    of the final tensor's size that the gates alternate between; the
-    result is transposed into the spare one.
+    One walk of the circuit's blocks: each W_b is the ``_apply_block``
+    that ``run_circuit_batch`` and ``mse_gradient`` apply, acting on the
+    coefficient rows as on a batch of states, and each encoding before
+    it splits every row into its (I+/-X)/2 halves, qubit by qubit
+    (``_encode_coefficients``). The tensor grows along a feature's axis
+    at each of its encodings, so the blocks act only on the frequencies
+    reached so far. The walk holds the tensor amplitudes first,
+    (2**n, k_0, ..., k_{d-1}), in two buffers of the final tensor's size
+    that the kernels alternate between; the result is transposed into
+    the spare one.
     """
     params.validate_for(config)
     dim = 2**config.n_qubits
@@ -614,19 +580,18 @@ def state_coefficients(config: CircuitConfig, params: ParameterSet) -> np.ndarra
     coeffs = buffer[:dim].reshape((dim,) + (1,) * config.d_features)
     coeffs[...] = 0.0
     coeffs[0] = 1.0
-    for gate in _gates(config):
-        kind, qubit, _, source = gate
-        if kind == "enc":
-            shape = list(coeffs.shape)
-            shape[1 + source] += 1
-            out = spare[: math.prod(shape)].reshape(shape)
-            result = _encode_coefficients(coeffs, qubit, source, out)
-        else:
-            out = spare[: coeffs.size].reshape(coeffs.shape)
-            result = _apply_gate(coeffs, gate, params.angles, None, out)
-        if result is out:
+    for block in range(config.n_layers + 1):
+        if block:  # E(x) precedes every block but W_0
+            for qubit, feature in enumerate(config.feature_assignment):
+                shape = list(coeffs.shape)
+                shape[1 + feature] += 1
+                grown = spare[: math.prod(shape)].reshape(shape)
+                coeffs = _encode_coefficients(coeffs, qubit, feature, grown)
+                buffer, spare = spare, buffer
+        out = spare[: coeffs.size].reshape(coeffs.shape)
+        if _apply_block(config, params.angles, block, coeffs, out)[0] is out:
             buffer, spare = spare, buffer
-        coeffs = result
+            coeffs = out
     # basis state last, C-contiguous, in the buffer the walk has no more use for
     out = spare.reshape(coeffs.shape[1:] + (dim,))
     np.copyto(out, np.moveaxis(coeffs, 0, -1))
@@ -709,13 +674,13 @@ def _shift_estimates(
     the next seed of the iterator ``seeds``, in the order plus_0,
     minus_0, plus_1, ...
 
-    Only the gates from angle j's block on see angle j. So one unshifted
+    Only the blocks from angle j's block on see angle j. So one unshifted
     pass first saves the state at the start of each block's rotations,
-    after its encodings; block 0 starts from W_0's column, as ``_forward``
-    does. Each shifted evaluation copies its block's saved state and walks
-    only the gates from there, with the kernels a full pass applies to the
-    same inputs, so its states and estimates are bit for bit a full
-    pass's.
+    after its encodings. A shift in W_0 reruns ``_forward`` from W_0's
+    column; a shift in W_b, b >= 1, copies that block's saved state and
+    resumes ``_forward`` at W_b. Either way the kernels a full pass
+    applies to the same inputs run, so the states and estimates are bit
+    for bit a full pass's.
     """
     params.validate_for(config)
     X = _inputs(config, X)
@@ -727,13 +692,10 @@ def _shift_estimates(
         _forward(config, angles, X, states, out, starts)
 
     def estimate(shifted: np.ndarray, block: int) -> np.ndarray:
-        shifted = shifted.reshape(angles.shape)
+        if block:
+            states[...] = starts[block - 1]
         with _walk_buffer():
-            if block == 0:
-                final = _forward(config, shifted, X, states, out)
-            else:
-                states[...] = starts[block - 1]
-                final = _walk(_gates(config, block), states, out, shifted, X)[0]
+            final = _forward(config, shifted.reshape(angles.shape), X, states, out, first=block)
         return _shot_estimates(np.abs(final.T.copy()) ** 2, shots, next(seeds))
 
     flat = angles.reshape(-1)

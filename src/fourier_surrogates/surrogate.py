@@ -77,6 +77,19 @@ def build_real_design(points: np.ndarray, canonical_freqs) -> DesignMatrix:
     return DesignMatrix(entries)
 
 
+def _checked(design: DesignMatrix, y) -> tuple[np.ndarray, np.ndarray]:
+    """The design's entries and ``y`` as floats, once both pass ``fit``'s checks."""
+    A = design.entries
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.shape[0] != A.shape[0]:
+        raise ValueError(f"target length {y.shape} does not match {A.shape[0]} rows")
+    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(A)):
+        raise ValueError("design and targets must be finite")
+    if not np.any(A):
+        raise ValueError("design matrix is identically zero")
+    return A, y
+
+
 def fit(
     design: DesignMatrix, y: np.ndarray, rcond: float = DEFAULT_RCOND
 ) -> tuple[np.ndarray, float]:
@@ -86,14 +99,7 @@ def fit(
     the coefficient vector, in the design's dtype, and the 2-norm of the
     residual A c - y.
     """
-    A = design.entries
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != A.shape[0]:
-        raise ValueError(f"target length {y.shape} does not match {A.shape[0]} rows")
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(A)):
-        raise ValueError("design and targets must be finite")
-    if not np.any(A):
-        raise ValueError("design matrix is identically zero")
+    A, y = _checked(design, y)
     if not (0.0 < rcond < 1.0):
         raise ValueError("rcond must lie in (0, 1)")
     coeffs, _, _, _ = np.linalg.lstsq(A, y.astype(A.dtype), rcond=rcond)
@@ -119,14 +125,7 @@ def _prefix_solver(design: DesignMatrix, y: np.ndarray):
     A's R bounds every prefix; above PREFIX_COND_BOUND each prefix is
     solved by ``fit`` instead.
     """
-    A = design.entries
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != A.shape[0]:
-        raise ValueError(f"target length {y.shape} does not match {A.shape[0]} rows")
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(A)):
-        raise ValueError("design and targets must be finite")
-    if not np.any(A):
-        raise ValueError("design matrix is identically zero")
+    A, y = _checked(design, y)
     p = A.shape[1]
     if p > A.shape[0]:
         raise ValueError(f"prefix solver needs a tall design, got {A.shape}")

@@ -126,6 +126,25 @@ def row_major_cnot(states: np.ndarray, control: int, target: int) -> np.ndarray:
     return states.take(perm, axis=1)
 
 
+def _gates(config: CircuitConfig):
+    """The circuit's gates in application order, one tuple each.
+
+    ("rot", qubit, axis, (block, qubit, axis index)) for a trainable
+    rotation by ``angles[index]``, ("enc", qubit, "x", feature) for an
+    encoding rotation by that input feature, and ("cnot", control,
+    target, None).
+    """
+    for block in range(config.n_layers + 1):
+        if block:
+            for q, feature in enumerate(config.feature_assignment):
+                yield "enc", q, "x", feature
+        for q in range(config.n_qubits):
+            for a, axis in enumerate(("x", "y", "z")):
+                yield "rot", q, axis, (block, q, a)
+        for c, t in config.coupling_map:
+            yield "cnot", c, t, None
+
+
 def _row_major_gate(states, gate, angles, X, inverse=False):
     kind, a, b, source = gate
     if kind == "cnot":
@@ -140,7 +159,7 @@ def row_major_run(config: CircuitConfig, params: ParameterSet, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     states = np.zeros((X.shape[0], 2**config.n_qubits), dtype=complex)
     states[:, 0] = 1.0
-    for gate in simulator._gates(config):
+    for gate in _gates(config):
         states = _row_major_gate(states, gate, params.angles, X)
     return states
 
@@ -166,7 +185,7 @@ def row_major_mse_gradient(config: CircuitConfig, params: ParameterSet, X, y):
     preds = np.abs(psi) ** 2 @ w
     lam = (2.0 * (preds - y) / len(preds))[:, None] * w * psi
     grad = np.zeros_like(params.angles)
-    for gate in reversed(tuple(simulator._gates(config))):
+    for gate in reversed(tuple(_gates(config))):
         kind, qubit, axis, source = gate
         if kind == "rot":
             grad[source] = _pauli_overlap(lam, psi, qubit, axis)
@@ -201,7 +220,7 @@ def row_major_state_coefficients(config: CircuitConfig, params: ParameterSet) ->
     dim = 2**config.n_qubits
     coeffs = np.zeros((1,) * config.d_features + (dim,), dtype=complex)
     coeffs.flat[0] = 1.0
-    for gate in simulator._gates(config):
+    for gate in _gates(config):
         kind, qubit, _, source = gate
         if kind == "enc":
             coeffs = _row_major_encode(coeffs, qubit, source)
@@ -412,6 +431,24 @@ def test_input_validation():
         run_circuit_batch(config, params, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         run_circuit_batch(config, params, np.array([[np.inf, 0.0]]))
+
+
+def test_an_empty_batch_is_named_at_every_entry_point():
+    """Zero input rows are the caller's error, reported before any kernel runs."""
+    config = CircuitConfig(n_qubits=2, n_layers=1)
+    params = ParameterSet.random(config, seed=0)
+    X = np.empty((0, 2))
+    entries = {
+        "run_circuit_batch": lambda: run_circuit_batch(config, params, X),
+        "expectation_batch": lambda: expectation_batch(config, params, X),
+        "mse_gradient": lambda: simulator.mse_gradient(config, params, X, np.empty(0)),
+        "_shift_estimates": lambda: simulator._shift_estimates(
+            config, params, X, 16, iter(range(100))
+        ),
+    }
+    for name, call in entries.items():
+        with pytest.raises(ValueError, match="^at least one input row is required$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
