@@ -28,10 +28,10 @@ those starts, whatever the number of angles P; it holds L + 2
 state-sized arrays). Training with shots keeps the parameter-shift rule, which
 needs only sampled expectations: for any Rx/Ry/Rz angle,
 df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly, so one
-iteration costs 2P + 1 sampled circuit evaluations. The 2P shifted ones
-(``simulator._shift_estimates``) each resume from the saved state at the
-start of their angle's block, so they skip the gates the unshifted
-circuit has already walked.
+iteration costs 2P + 1 sampled circuit evaluations
+(``simulator._shots_gradient``). The unshifted one saves the state at
+each block's start, and the 2P shifted ones resume from their angle's
+block, so they skip the gates the unshifted walk has applied.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .simulator import (
     NoiseConfig,
     ParameterSet,
     _mean_z_diagonal,
-    _shift_estimates,
+    _shots_gradient,
     expectation_batch,
     mse_gradient,
     state_coefficients,
@@ -304,13 +304,6 @@ def surrogate_rff(
     """
     params.validate_for(config)
     desc = omega_max_of(config)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
-        raise ValueError("at least one input point is required")
-    if X.shape[1] != desc.d:
-        raise ValueError(f"points have {X.shape[1]} features, circuit encodes {desc.d}")
-    if D < 1:
-        raise ValueError("D must be at least 1")
     freqs = sample_distinct(desc, D, seed=seed)
     y = expectation_batch(config, params, X, noise=noise)
     return _fit_rff(desc, X, y, freqs, rcond, fingerprint_of(config, params))
@@ -347,9 +340,9 @@ class TrainConfig:
     (useful for fixtures). Without ``shots``, gradients are exact and
     adjoint-state. With ``shots`` set, gradients are parameter-shift and
     every circuit evaluation is sampled, so gradients and recorded losses
-    are noisy estimates. Each of the 2P shifted evaluations resumes from
-    its angle's block's saved state, and gives the estimate a full pass
-    with the same seed would give.
+    are noisy estimates. Each of the 2P shifted evaluations resumes at
+    its angle's block, and gives the estimate a full pass with the same
+    seed would give.
     """
 
     learning_rate: float = 0.2
@@ -377,28 +370,22 @@ def train(
 ) -> tuple[ParameterSet, list[float]]:
     """Fit circuit parameters to a dataset by gradient descent on MSE.
 
-    Without ``tc.shots`` the gradient is exact and comes from one adjoint
-    sweep (``simulator.mse_gradient``); with shots it comes from the
-    parameter-shift rule on sampled evaluations, 2P of them per
-    iteration plus one for the loss. Each of the 2P starts from the
-    state saved at the start of its angle's block by one prefix walk
-    per iteration (``simulator._shift_estimates``) and draws with the
-    next seed, as a full pass would. Targets must already be in [-1, 1]
-    (the observable's range); initial parameters default to a random
-    draw from the config's shape under ``tc.seed``. Returns the final
+    Each iteration but the last takes predictions and gradient from one
+    call: the exact adjoint sweep (``simulator.mse_gradient``), or with
+    ``tc.shots`` a sampled score and the parameter-shift rule on 2P
+    more evaluations (``simulator._shots_gradient``), each drawn with the
+    next seed. So under ``tc.tol`` the converging iteration has drawn its
+    2P estimates too. Targets must already be in [-1, 1] (the
+    observable's range); initial parameters default to a random draw
+    from the config's shape under ``tc.seed``. Returns the final
     parameters and the loss history (initial loss first, one entry per
     iteration after it).
     """
     X, y = dataset.X, dataset.y
-    if X.shape[1] != config.d_features:
-        raise ValueError(
-            f"dataset has {X.shape[1]} features, circuit encodes {config.d_features}"
-        )
     if y.min() < -1.0 - 1e-9 or y.max() > 1.0 + 1e-9:
         raise ValueError("targets must be rescaled to [-1, 1] before training")
     if init is None:
         init = ParameterSet.random(config, seed=tc.seed)
-    init.validate_for(config)
 
     seeds = itertools.count(int(np.random.SeedSequence([tc.seed, 0x7261]).generate_state(1)[0]))
 
@@ -406,21 +393,19 @@ def train(
         noise = None if tc.shots is None else NoiseConfig(shots=tc.shots, seed=next(seeds))
         return expectation_batch(config, ParameterSet(angles=angles), X, noise=noise)
 
-    def shift_gradient(angles: np.ndarray, preds: np.ndarray) -> np.ndarray:
-        plus, minus = _shift_estimates(config, ParameterSet(angles=angles), X, tc.shots, seeds)
-        grad = [float(np.mean(2.0 * (preds - y) * ((p - m) / 2.0))) for p, m in zip(plus, minus)]
-        return np.reshape(grad, angles.shape)
+    def gradient(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        params = ParameterSet(angles=angles)
+        if tc.shots is None:
+            return mse_gradient(config, params, X, y)
+        return _shots_gradient(config, params, X, y, tc.shots, seeds)
 
     angles = init.angles.copy()
     history: list[float] = []
     # Iteration k scores angles k and, unless it is the last or training
-    # has converged, steps from them. Without shots, one adjoint sweep
-    # gives the predictions and the gradient. With shots, the gradient is
-    # parameter-shift: 2P sampled evaluations after the scoring one, each
-    # with the next of the consecutive seeds.
+    # has converged, steps from them; the last one only scores.
     for k in range(tc.max_iters + 1):
-        if tc.shots is None and k < tc.max_iters:
-            preds, grad = mse_gradient(config, ParameterSet(angles=angles), X, y)
+        if k < tc.max_iters:
+            preds, grad = gradient(angles)
         else:
             preds = evaluate(angles)
         loss = float(np.mean((preds - y) ** 2))
@@ -429,8 +414,6 @@ def train(
         history.append(loss)
         if k == tc.max_iters or (k and tc.tol > 0 and abs(history[-2] - loss) < tc.tol):
             break
-        if tc.shots is not None:
-            grad = shift_gradient(angles, preds)
         angles = angles - tc.learning_rate * grad
     return ParameterSet(angles=angles), history
 

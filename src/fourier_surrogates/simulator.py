@@ -33,13 +33,14 @@ vectors in one vectorized pass (grid or dataset sampling), and
 single-gate helpers. ``mse_gradient`` gives exact predictions together
 with the gradient of their mean squared error in the angles, by the
 adjoint method: a forward pass that saves each block's start, then a
-sweep back that carries only the costate. ``state_coefficients`` gives
-the state's Fourier coefficients in the inputs, for every input at once.
-The batch walk (``run_circuit_batch``, the forward pass, each shifted
-evaluation) and the coefficient walk apply every W_b through one
-``_apply_block``; the sweep back takes each block's CNOTs off at once
-and its rotations per qubit. ``_shift_estimates``
-gives the sampled parameter-shift evaluations that shots training needs.
+sweep back that carries only the costate; ``_shots_gradient`` is its
+sampled parameter-shift twin. ``state_coefficients`` gives the state's
+Fourier coefficients in the inputs, for every input at once. Every
+per-row evaluation is checked, allocated and walked by ``_simulate``
+and read out as |psi|^2 by ``_probabilities``. The batch walk and the
+coefficient walk apply every W_b through one ``_apply_block``; the
+sweep back takes each block's CNOTs off at once and its rotations per
+qubit.
 
 Layout: inside this module a batch is held amplitudes first, as
 (2**n, rows), and a coefficient tensor as (2**n, k_0, ..., k_{d-1}).
@@ -52,9 +53,9 @@ same kernels run in the same order as they would on every row. The
 adjoint holds (L + 2) state-sized arrays: the forward pass's two
 buffers, which the sweep back reuses, and the L block starts it saved;
 at W_0 the sweep works on one column again. The
-per-row walks (forward pass, adjoint sweep, shifted evaluations) run
-with numpy's ufunc buffer scoped to 512 elements (``_walk_buffer``),
-which changes no value. The public boundary stays rows first:
+per-row walks (``_forward``, the adjoint sweep) run with numpy's ufunc
+buffer scoped to 512 elements (``_walk_buffer``), which changes no
+value. The public boundary stays rows first:
 ``run_circuit_batch`` returns a C-contiguous (rows, 2**n) array through
 one transpose at the end, and ``state_coefficients`` returns
 (k_0, ..., k_{d-1}, 2**n).
@@ -362,6 +363,7 @@ def _apply_encoding(config: CircuitConfig, X: np.ndarray, states, out):
     return states, out
 
 
+@_walk_buffer()
 def _forward(
     config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None, first=0
 ):
@@ -372,8 +374,9 @@ def _forward(
     the walk resumes at W_b from the state ``states`` already holds.
     Each later encoding and block alternates between ``states`` and
     ``out``. Given ``starts``, (L, 2**n, rows), starts[b - 1] receives
-    the state that enters W_b's rotations. Returns the buffer that holds
-    the final states.
+    the state that enters W_b's rotations. Returns (holder, spare), as
+    ``_apply_block`` does: the buffer that holds the final states, and
+    the other one.
     """
     if first == 0:
         column = np.zeros((len(states), 1), dtype=complex)
@@ -386,7 +389,7 @@ def _forward(
         if starts is not None:
             starts[block - 1] = states
         states, out = _apply_block(config, angles, block, states, out)
-    return states
+    return states, out
 
 
 def _inputs(config: CircuitConfig, X) -> np.ndarray:
@@ -402,18 +405,33 @@ def _inputs(config: CircuitConfig, X) -> np.ndarray:
     return X
 
 
-@_walk_buffer()
-def run_circuit_batch(
-    config: CircuitConfig, params: ParameterSet, X: np.ndarray
-) -> np.ndarray:
-    """Run U(x)|0..0> for every row x of X; returns (len(X), 2**n) states."""
+def _simulate(config: CircuitConfig, params: ParameterSet, X, save_starts: bool = False):
+    """Check the angles and inputs, allocate, and run ``_forward`` on every row of X.
+
+    Returns (X, psi, spare, starts): the checked inputs, the (2**n, rows)
+    final states, the walk's other buffer, and the block starts if asked.
+    """
     params.validate_for(config)
     X = _inputs(config, X)
     shape = (2**config.n_qubits, X.shape[0])
-    states = _forward(
-        config, params.angles, X, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    )
-    return states.T.copy()
+    states, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    starts = np.empty((config.n_layers,) + shape, dtype=complex) if save_starts else None
+    psi, spare = _forward(config, params.angles, X, states, out, starts)
+    return X, psi, spare, starts
+
+
+def _probabilities(psi: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """|psi|^2 of (2**n, rows) states as a C-contiguous (rows, 2**n) view of ``spare``."""
+    dim, rows = psi.shape
+    probs = spare.reshape(-1).view(float)[: dim * rows].reshape(rows, dim)
+    np.abs(psi.T, out=probs)
+    np.square(probs, out=probs)
+    return probs
+
+
+def run_circuit_batch(config: CircuitConfig, params: ParameterSet, X: np.ndarray) -> np.ndarray:
+    """Run U(x)|0..0> for every row x of X; returns (len(X), 2**n) states."""
+    return _simulate(config, params, X)[1].T.copy()
 
 
 @lru_cache(maxsize=256)
@@ -472,8 +490,8 @@ def mse_gradient(
     """Exact predictions f and the gradient of mean((f - y)^2) in the angles.
 
     Adjoint method: the forward pass saves the state at the start of
-    each block's rotations (the same ``_forward`` call that
-    ``_shift_estimates`` makes), and only the costate
+    each block's rotations (the same ``_simulate`` call that
+    ``_shots_gradient`` makes), and only the costate
     lam = 2(f - y)/m * O psi is swept back through the circuit. At each
     block b >= 1 ``_unapply_block`` takes the CNOTs off lam as one
     permutation and each qubit's rotations as one fused 2x2, reads the
@@ -488,24 +506,13 @@ def mse_gradient(
     ``expectation_batch`` computes them.
     Returns (f, grad) with grad shaped like ``params.angles``.
     """
-    params.validate_for(config)
-    X = _inputs(config, X)
+    X, psi, spare, starts = _simulate(config, params, X, save_starts=True)
     y = np.asarray(y, dtype=float)
     n, rows = config.n_qubits, X.shape[0]
     if y.shape != (rows,):
         raise ValueError(f"targets of shape {y.shape} do not match {rows} input rows")
-    dim = 2**n
-    shape = (dim, rows)
-    states, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    starts = np.empty((config.n_layers,) + shape, dtype=complex)
-    psi = _forward(config, params.angles, X, states, out, starts)
-    spare = out if psi is states else states
-    # |psi|^2 as (rows, 2**n), a view of the spare buffer
-    probs = spare.reshape(-1).view(float)[: dim * rows].reshape(rows, dim)
-    np.abs(psi.T, out=probs)
-    np.square(probs, out=probs)
     w = _mean_z_diagonal(n)
-    preds = probs @ w
+    preds = _probabilities(psi, spare) @ w
     # the costate takes psi's buffer
     lam = np.multiply(w[:, None], psi, out=psi)
     lam *= 2.0 * (preds - y) / rows
@@ -654,7 +661,7 @@ def expectation_batch(
     Either way the result is scaled by (1 - depolarizing_p).
     """
     noise = noise or NoiseConfig()
-    probs = np.abs(run_circuit_batch(config, params, X)) ** 2
+    probs = _probabilities(*_simulate(config, params, X)[1:3])
     if noise.shots is None:
         values = probs @ _mean_z_diagonal(config.n_qubits)
     else:
@@ -662,51 +669,45 @@ def expectation_batch(
     return (1.0 - noise.depolarizing_p) * values
 
 
-def _shift_estimates(
-    config: CircuitConfig, params: ParameterSet, X: np.ndarray, shots: int, seeds
+def _shots_gradient(
+    config: CircuitConfig, params: ParameterSet, X: np.ndarray, y: np.ndarray, shots: int, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shot estimates at every angle shifted by +pi/2 and by -pi/2, for parameter shift.
+    """Shot-estimated predictions f and the parameter-shift gradient of mean((f - y)^2).
 
-    Returns (plus, minus), each (P, rows) with P = ``params.angles.size``.
-    Row j of ``plus`` is ``expectation_batch`` with shots at the angles
-    whose j-th entry (C order) is raised by pi/2, and row j of ``minus``
-    the same with that entry then lowered by pi. Each estimate draws with
-    the next seed of the iterator ``seeds``, in the order plus_0,
-    minus_0, plus_1, ...
+    The shots twin of ``mse_gradient``, with grad shaped like
+    ``params.angles`` and one target per row in ``y``. Every estimate is
+    ``expectation_batch`` with ``shots`` and the next seed of the iterator
+    ``seeds``: first f, then for each angle j (C order) the estimates
+    plus_j and minus_j at angle j raised and lowered by pi/2, and
+    grad[j] = mean(2 (f - y) (plus_j - minus_j) / 2).
 
-    Only the blocks from angle j's block on see angle j. So one unshifted
-    pass first saves the state at the start of each block's rotations,
-    after its encodings. A shift in W_0 reruns ``_forward`` from W_0's
-    column; a shift in W_b, b >= 1, copies that block's saved state and
-    resumes ``_forward`` at W_b. Either way the kernels a full pass
-    applies to the same inputs run, so the states and estimates are bit
-    for bit a full pass's.
+    The pass that gives f saves the state at the start of each block's
+    rotations. Only the blocks from angle j's block on see angle j, so a
+    shift in W_0 reruns ``_forward`` from W_0's column, and a shift in
+    W_b, b >= 1, copies that block's saved state and resumes ``_forward``
+    at W_b. Either way the kernels a full pass applies to the same inputs
+    run, so the states and estimates are bit for bit a full pass's.
     """
-    params.validate_for(config)
-    X = _inputs(config, X)
+    X, states, out, starts = _simulate(config, params, X, save_starts=True)
     angles, n = params.angles, config.n_qubits
-    shape = (2**n, X.shape[0])
-    states, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    starts = np.empty((config.n_layers,) + shape, dtype=complex)
-    with _walk_buffer():
-        _forward(config, angles, X, states, out, starts)
 
-    def estimate(shifted: np.ndarray, block: int) -> np.ndarray:
-        if block:
-            states[...] = starts[block - 1]
-        with _walk_buffer():
-            final = _forward(config, shifted.reshape(angles.shape), X, states, out, first=block)
-        return _shot_estimates(np.abs(final.T.copy()) ** 2, shots, next(seeds))
+    def estimate(psi: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        return _shot_estimates(_probabilities(psi, spare), shots, next(seeds))
 
+    preds = estimate(states, out)
     flat = angles.reshape(-1)
-    plus, minus = np.empty((flat.size, X.shape[0])), np.empty((flat.size, X.shape[0]))
+    grad = np.empty(flat.size)
     for j in range(flat.size):
-        shifted = flat.copy()
-        shifted[j] += math.pi / 2
-        plus[j] = estimate(shifted, j // (3 * n))
-        shifted[j] -= math.pi
-        minus[j] = estimate(shifted, j // (3 * n))
-    return plus, minus
+        shifted, block, shifts = flat.copy(), j // (3 * n), []
+        for step in (math.pi / 2, -math.pi):
+            shifted[j] += step
+            if block:
+                states[...] = starts[block - 1]
+            walk = _forward(config, shifted.reshape(angles.shape), X, states, out, first=block)
+            shifts.append(estimate(*walk))
+        plus, minus = shifts
+        grad[j] = np.mean(2.0 * (preds - y) * ((plus - minus) / 2.0))
+    return preds, grad.reshape(angles.shape)
 
 
 def expectation(
@@ -724,19 +725,24 @@ def expectation(
 def sample_bitstrings(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Sample measurement outcomes; returns {bitstring: count}, counts > 0.
 
-    Bitstrings read qubit 0 first (most significant bit).  Deterministic
-    for a fixed seed.
+    ``state`` is one vector of 2**n amplitudes, n >= 1. Bitstrings read
+    qubit 0 first (most significant bit).  Deterministic for a fixed seed.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     state = np.asarray(state, dtype=complex)
+    dim = len(state) if state.ndim == 1 else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(
+            f"state must be one vector of 2**n amplitudes, n >= 1; got shape {state.shape}"
+        )
     probs = np.abs(state) ** 2
     total = probs.sum()
     if not np.isclose(total, 1.0, atol=1e-9):
         raise ValueError("state must be normalized")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs / total)
-    n = state.shape[0].bit_length() - 1
+    n = dim.bit_length() - 1
     return {
         format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0
     }

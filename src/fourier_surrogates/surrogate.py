@@ -230,11 +230,14 @@ def predict_batch(model: SurrogateModel, X: np.ndarray) -> np.ndarray:
 
 
 def mse(model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error of the surrogate against targets y over X."""
-    y = np.asarray(y, dtype=float)
+    """Mean squared error of the surrogate against targets y, one per row of X."""
+    y = np.asarray(y, dtype=float).ravel()
     if y.size == 0:
         raise ValueError("empty evaluation set")
-    return float(np.mean((predict_batch(model, X) - y) ** 2))
+    preds = predict_batch(model, X)
+    if len(y) != len(preds):
+        raise ValueError(f"{len(preds)} input rows but {len(y)} targets")
+    return float(np.mean((preds - y) ** 2))
 
 
 def load_model(path) -> SurrogateModel:

@@ -48,7 +48,7 @@ def psi_lam_mse_gradient(config, params, X, y):
     dim = 2**n
     size = dim * rows
     first, second = np.empty(2 * size, dtype=complex), np.empty(2 * size, dtype=complex)
-    psi = _forward(
+    psi, _ = _forward(
         config, params.angles, X, first[:size].reshape(dim, rows), second[:size].reshape(dim, rows)
     )
     if not np.may_share_memory(psi, first):

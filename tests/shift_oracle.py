@@ -1,9 +1,10 @@
 """Shots training with full passes: the oracle of the resumed shifted evaluations.
 
-``pipeline.train`` with shots takes its parameter-shift gradient from
-``simulator._shift_estimates``, which resumes each shifted evaluation
-from a saved block state. This is the trainer it replaced: every one of
-the 2P shifted evaluations is a full ``expectation_batch`` pass, gate by
+``pipeline.train`` with shots takes its predictions and parameter-shift
+gradient from ``simulator._shots_gradient``, whose scoring pass saves
+each block's start and whose shifted evaluations resume from them. This
+is the trainer it replaced: the scoring evaluation and every one of the
+2P shifted evaluations is a full ``expectation_batch`` pass, gate by
 gate from |0..0>, with the next consecutive seed. Not a test module:
 the tests import it from here.
 """

@@ -185,13 +185,16 @@ def test_surrogate_exact_byte_identical_reruns(tmp_path):
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
 
 
-# SHA-256 of three fixed-seed artifacts. A change to any digest changes the
-# model or dataset wire format or a fixed-seed result; the float digits come
-# from one numpy/OpenBLAS build, so another BLAS may move the last bits.
+# SHA-256 of five fixed-seed artifacts. A change to any digest changes the
+# model, dataset or trained-circuit wire format or a fixed-seed result; the
+# float digits come from one numpy/OpenBLAS build, so another BLAS may move
+# the last bits.
 _GOLDEN_SHA256 = {
     "exact/model.json": "14b1cbc9382abc085d3fe2d5407364e285d919501d30f9723f7145c9a66c1e4c",
     "rff/model.json": "55ee2fc5c75138767cb8811eb7c00fa87e8402cc457869512307436badab835c",
     "dataset.json": "b52506bcf56398eea6a2983aefe134a6e5516577f22f35348e8ac4a3aee8f12c",
+    "noiseless/trained.json": "c6cac03d3942380ab8a2aaeb18232743b477195a46f232c8466286db1a1688c2",
+    "shots/trained.json": "4476199243099f9b11c69adc8ec8b6b02471734da5a76de180e3a9f0b640b41f",
 }
 
 
@@ -203,6 +206,13 @@ def test_artifacts_keep_their_golden_bytes(tmp_path):
     assert run_cli("surrogate", "rff", "--qubits", 2, "--layers", 1,
                    "--dataset", tmp_path / "dataset.json", "--frequencies", 3,
                    "--seed", 11, "--out-dir", tmp_path / "rff") == 0
+    assert run_cli("train", "--dataset", tmp_path / "dataset.json", "--qubits", 2,
+                   "--layers", 1, "--max-iters", 3, "--out-dir", tmp_path / "noiseless") == 0
+    assert run_cli("preprocess", "--input", tmp_path / "dataset.json", "--rescale-targets",
+                   "--out-dir", tmp_path) == 0
+    assert run_cli("train", "--dataset", tmp_path / "processed.json", "--qubits", 2,
+                   "--layers", 1, "--max-iters", 2, "--shots", 64,
+                   "--out-dir", tmp_path / "shots") == 0
     for name, digest in _GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 

@@ -251,7 +251,7 @@ def test_exact_surrogate_simulates_no_grid_point(monkeypatch):
         raise AssertionError("the exact route simulated grid points")
 
     monkeypatch.setattr(pipeline, "expectation_batch", refuse)
-    monkeypatch.setattr(simulator, "run_circuit_batch", refuse)
+    monkeypatch.setattr(simulator, "_forward", refuse)
     config = CircuitConfig(n_qubits=6, n_layers=2)
     params = ParameterSet.random(config, seed=5)
     blocks = []
@@ -843,8 +843,8 @@ def test_shots_iteration_walks_each_shifted_evaluation_from_its_block(monkeypatc
         """Rotations and encodings from W_b's first rotation to the end."""
         return 3 * n * (L + 1 - b) + n * (L - b)
 
-    scoring = 2 * from_block(0)  # angles 0 and angles 1, each a full pass
-    prefix = from_block(0)  # one unshifted pass that saves each block's start
+    scoring = from_block(0)  # angles 1, a full pass
+    prefix = from_block(0)  # scores angles 0 and saves each block's start
     shifted = sum(2 * 3 * n * from_block(b) for b in range(L + 1))
     assert len(calls) == scoring + prefix + shifted
     assert len(calls) < (2 + 2 * init.angles.size) * from_block(0)

@@ -442,8 +442,8 @@ def test_an_empty_batch_is_named_at_every_entry_point():
         "run_circuit_batch": lambda: run_circuit_batch(config, params, X),
         "expectation_batch": lambda: expectation_batch(config, params, X),
         "mse_gradient": lambda: simulator.mse_gradient(config, params, X, np.empty(0)),
-        "_shift_estimates": lambda: simulator._shift_estimates(
-            config, params, X, 16, iter(range(100))
+        "_shots_gradient": lambda: simulator._shots_gradient(
+            config, params, X, np.empty(0), 16, iter(range(100))
         ),
     }
     for name, call in entries.items():
@@ -642,6 +642,13 @@ def test_sample_bitstrings_counts_and_labels():
         sample_bitstrings(state, shots=0, seed=0)
     with pytest.raises(ValueError):
         sample_bitstrings(np.array([1.0, 1.0]), shots=4, seed=0)
+
+
+def test_sample_bitstrings_takes_one_vector_of_2_to_the_n_amplitudes():
+    match = "^state must be one vector of 2\\*\\*n amplitudes"
+    for state in (np.ones(3) / np.sqrt(3), np.ones(1), np.eye(2), np.zeros((0,)), 1.0):
+        with pytest.raises(ValueError, match=match):
+            sample_bitstrings(state, shots=4, seed=0)
 
 
 def test_sample_bitstrings_distribution():

@@ -517,3 +517,14 @@ def test_mse():
     np.testing.assert_allclose(mse(model, X, shifted), 0.01, atol=1e-15)
     with pytest.raises(ValueError):
         mse(model, np.zeros((0, 2)), np.zeros(0))
+
+
+def test_mse_takes_one_target_per_row():
+    """A column of targets is read as a vector; a count that differs is named."""
+    model = _toy_model()
+    X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(5, 2))
+    y = predict_batch(model, X)
+    assert mse(model, X, y.reshape(5, 1)) == 0.0
+    for wrong in (y[:1], y[:3]):
+        with pytest.raises(ValueError, match=f"^5 input rows but {len(wrong)} targets$"):
+            mse(model, X, wrong)
