@@ -30,8 +30,10 @@ needs only sampled expectations: for any Rx/Ry/Rz angle,
 df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly, so one
 iteration costs 2P + 1 sampled circuit evaluations
 (``simulator._shots_gradient``). The unshifted one saves the state at
-each block's start, and the 2P shifted ones resume from their angle's
-block, so they skip the gates the unshifted walk has applied.
+each block's start. The six shifted circuits of a qubit's three angles
+are then read off one walk of three probe states from that qubit's
+rotations to the end, so the 2P shifted states cost 3n(L+1) walks of
+a 3 * rows batch, and equal full passes' to within ~1e-15.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .simulator import (
     CircuitConfig,
     NoiseConfig,
     ParameterSet,
+    _check_shots,
     _mean_z_diagonal,
     _shots_gradient,
     expectation_batch,
@@ -340,9 +343,10 @@ class TrainConfig:
     (useful for fixtures). Without ``shots``, gradients are exact and
     adjoint-state. With ``shots`` set, gradients are parameter-shift and
     every circuit evaluation is sampled, so gradients and recorded losses
-    are noisy estimates. Each of the 2P shifted evaluations resumes at
-    its angle's block, and gives the estimate a full pass with the same
-    seed would give.
+    are noisy estimates. The 2P shifted states are combined from three
+    probe walks per qubit and block, and equal a full pass's to within
+    ~1e-15; each estimate is drawn with the seed a full pass would use,
+    in the same order.
     """
 
     learning_rate: float = 0.2
@@ -356,8 +360,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be positive when given")
+        if self.shots is not None:
+            _check_shots(self.shots)
         if not 0 <= self.tol < math.inf:
             raise ValueError("tol must be non-negative and finite")
 

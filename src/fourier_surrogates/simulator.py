@@ -34,7 +34,9 @@ single-gate helpers. ``mse_gradient`` gives exact predictions together
 with the gradient of their mean squared error in the angles, by the
 adjoint method: a forward pass that saves each block's start, then a
 sweep back that carries only the costate; ``_shots_gradient`` is its
-sampled parameter-shift twin. ``state_coefficients`` gives the state's
+sampled parameter-shift twin, which reads the six shifted circuits of
+each qubit's rotations off one walk of three probe states, stacked
+3 * rows wide. ``state_coefficients`` gives the state's
 Fourier coefficients in the inputs, for every input at once. Every
 per-row evaluation is checked, allocated and walked by ``_simulate``
 and read out as |psi|^2 by ``_probabilities``. The batch walk and the
@@ -52,18 +54,20 @@ to one (2**n, 1) column, and broadcasts that column into the batch; the
 same kernels run in the same order as they would on every row. The
 adjoint holds (L + 2) state-sized arrays: the forward pass's two
 buffers, which the sweep back reuses, and the L block starts it saved;
-at W_0 the sweep works on one column again. The
-per-row walks (``_forward``, the adjoint sweep) run with numpy's ufunc
-buffer scoped to 512 elements (``_walk_buffer``), which changes no
-value. The public boundary stays rows first:
-``run_circuit_batch`` returns a C-contiguous (rows, 2**n) array through
-one transpose at the end, and ``state_coefficients`` returns
-(k_0, ..., k_{d-1}, 2**n).
+at W_0 the sweep works on one column again. The shots gradient holds
+the same L + 2 plus one (2**n, 3 * rows) pair for its probe walks. The
+per-row walks (``_forward``, the adjoint sweep, the shots gradient's
+probe walks) run with numpy's ufunc buffer scoped to 512 elements
+(``_walk_buffer``), which changes no value. The public boundary stays
+rows first: ``run_circuit_batch`` returns a C-contiguous (rows, 2**n)
+array through one transpose at the end, and ``state_coefficients``
+returns (k_0, ..., k_{d-1}, 2**n).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -217,6 +221,12 @@ class ParameterSet:
         return cls(np.asarray(doc["angles"], dtype=float))
 
 
+def _check_shots(shots) -> None:
+    """A shot count is an integer of at least 1; a bool or a float is not one."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement-noise knobs for expectation values.
@@ -231,8 +241,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be a positive integer or None")
+        if self.shots is not None:
+            _check_shots(self.shots)
         if not (0.0 <= self.depolarizing_p <= 1.0):
             raise ValueError("depolarizing_p must lie in [0, 1]")
 
@@ -339,18 +349,28 @@ def _cnot_batch(states, control: int, target: int, out) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_block(config: CircuitConfig, angles: np.ndarray, block: int, states, out):
+def _apply_rotations(triple, qubit: int, states, out):
+    """Rx, Ry, Rz on ``qubit`` by ``triple``, a rotation by exactly 0.0
+    skipped as the identity it is; returns (holder, spare) as ``_apply_block``."""
+    for axis, theta in zip(_AXES, triple):
+        if theta != 0.0:
+            states, out = _rotate_batch(states, qubit, axis, theta, out), states
+    return states, out
+
+
+def _apply_block(
+    config: CircuitConfig, angles: np.ndarray, block: int, states, out, first_qubit: int = 0
+):
     """Apply W_block to every column of ``states``, alternating with ``out``.
 
-    Rx, Ry, Rz on every qubit by ``angles[block]``, a rotation by exactly
-    0.0 skipped as the identity it is, then the coupling map's CNOTs.
-    Returns (holder, spare): the buffer that holds the result, and the
-    other one.
+    Each qubit's rotations by ``angles[block]`` (``_apply_rotations``),
+    then the coupling map's CNOTs. With ``first_qubit`` = q, the
+    rotations of qubits below q are taken as applied already and left
+    out. Returns (holder, spare): the buffer that holds the result, and
+    the other one.
     """
-    for q, triple in enumerate(angles[block]):
-        for axis, theta in zip(_AXES, triple):
-            if theta != 0.0:
-                states, out = _rotate_batch(states, q, axis, theta, out), states
+    for q in range(first_qubit, config.n_qubits):
+        states, out = _apply_rotations(angles[block, q], q, states, out)
     for c, t in config.coupling_map:
         states, out = _cnot_batch(states, c, t, out), states
     return states, out
@@ -365,26 +385,25 @@ def _apply_encoding(config: CircuitConfig, X: np.ndarray, states, out):
 
 @_walk_buffer()
 def _forward(
-    config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None, first=0
+    config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None, resume=0
 ):
     """U(x)|0..0> for every row x of X, walked in two (2**n, rows) buffers.
 
     W_0 acts before any input, so its kernels run once, on one (2**n, 1)
-    column, which ``states`` takes in every row; with ``first`` = b >= 1
-    the walk resumes at W_b from the state ``states`` already holds.
-    Each later encoding and block alternates between ``states`` and
-    ``out``. Given ``starts``, (L, 2**n, rows), starts[b - 1] receives
-    the state that enters W_b's rotations. Returns (holder, spare), as
-    ``_apply_block`` does: the buffer that holds the final states, and
-    the other one.
+    column, which ``states`` takes in every row. With ``resume`` = b >= 1,
+    ``states`` already holds W_{b-1}'s output and the walk resumes at the
+    encoding before W_b (at b = L + 1 it applies nothing). Each later
+    encoding and block alternates between ``states`` and ``out``. Given
+    ``starts``, (L, 2**n, rows), starts[b - 1] receives the state that
+    enters W_b's rotations. Returns (holder, spare), as ``_apply_block``
+    does: the buffer that holds the final states, and the other one.
     """
-    if first == 0:
+    if not resume:
         column = np.zeros((len(states), 1), dtype=complex)
         column[0] = 1.0
         states[...] = _apply_block(config, angles, 0, column, np.empty_like(column))[0]
-    else:
-        states, out = _apply_block(config, angles, first, states, out)
-    for block in range(first + 1, config.n_layers + 1):
+        resume = 1
+    for block in range(resume, config.n_layers + 1):
         states, out = _apply_encoding(config, X, states, out)
         if starts is not None:
             starts[block - 1] = states
@@ -669,6 +688,38 @@ def expectation_batch(
     return (1.0 - noise.depolarizing_p) * values
 
 
+def _probes(psi: np.ndarray, qubit: int, out: np.ndarray) -> np.ndarray:
+    """E_00 psi, E_01 psi and E_10 psi side by side in ``out``, E_ij = |i><j| on ``qubit``.
+
+    ``psi`` is (2**n, width) and ``out`` C-contiguous (2**n, 3 * width),
+    probe p in columns p * width to (p + 1) * width.
+    """
+    a = psi.reshape(1 << qubit, 2, -1, psi.shape[1])
+    o = out.reshape(1 << qubit, 2, -1, 3, psi.shape[1])
+    o[:, 1, :, :2] = 0.0
+    o[:, 0, :, 2] = 0.0
+    o[:, 0, :, 0] = a[:, 0]
+    o[:, 0, :, 1] = a[:, 1]
+    o[:, 1, :, 2] = a[:, 0]
+    return out
+
+
+def _shifts(triple) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 2x2s G of a qubit's shifts: for each of its angles x, y, z, (+pi/2, -pi/2).
+
+    Raising angle a of Rz Ry Rx by s multiplies the triple on the left by
+    G = A R_a(s) A^H, where A is the product of the rotations applied
+    after R_a: Rz Ry for x, Rz for y, the identity for z.
+    """
+    rx, ry, rz = (np.array(_rotation(a, theta), dtype=complex) for a, theta in zip(_AXES, triple))
+    shifts = []
+    for axis, A in zip(_AXES, (rz @ ry, rz, np.eye(2))):
+        turns = (np.array(_rotation(axis, s), dtype=complex) for s in (math.pi / 2, -math.pi / 2))
+        shifts.append(tuple(A @ R @ A.conj().T for R in turns))
+    return shifts
+
+
+@_walk_buffer()
 def _shots_gradient(
     config: CircuitConfig, params: ParameterSet, X: np.ndarray, y: np.ndarray, shots: int, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -676,38 +727,64 @@ def _shots_gradient(
 
     The shots twin of ``mse_gradient``, with grad shaped like
     ``params.angles`` and one target per row in ``y``. Every estimate is
-    ``expectation_batch`` with ``shots`` and the next seed of the iterator
+    ``_shot_estimates`` with ``shots`` and the next seed of the iterator
     ``seeds``: first f, then for each angle j (C order) the estimates
     plus_j and minus_j at angle j raised and lowered by pi/2, and
     grad[j] = mean(2 (f - y) (plus_j - minus_j) / 2).
 
-    The pass that gives f saves the state at the start of each block's
-    rotations. Only the blocks from angle j's block on see angle j, so a
-    shift in W_0 reruns ``_forward`` from W_0's column, and a shift in
-    W_b, b >= 1, copies that block's saved state and resumes ``_forward``
-    at W_b. Either way the kernels a full pass applies to the same inputs
-    run, so the states and estimates are bit for bit a full pass's.
+    The six shifted circuits of qubit q in W_b differ from the unshifted
+    one only by a 2x2 G (``_shifts``) just after that qubit's rotations,
+    and the rest of the circuit is linear. So with psi_bq the state
+    there, a shifted final state is sum_ij G[i, j] Phi_ij, where Phi_ij
+    is the rest of the circuit applied to |i><j| psi_bq on qubit q, and
+    Phi_11 = psi - Phi_00 with psi the scoring pass's final state. The
+    scoring pass saves each block's start; from it each block's
+    rotations are walked once (W_0's on its one column), and after each
+    qubit's rotations the probes Phi_00, Phi_01 and Phi_10 are walked to
+    the end as one (2**n, 3 * rows) batch, X tiled three times for the
+    encodings. That is 3n(L+1) probe walks for the 6n(L+1) shifted
+    circuits. The shifted states equal a full pass's to within ~1e-15;
+    the seeds and their order are a full pass's.
     """
-    X, states, out, starts = _simulate(config, params, X, save_starts=True)
+    X, psi, spare, starts = _simulate(config, params, X, save_starts=True)
     angles, n = params.angles, config.n_qubits
+    dim, rows = psi.shape
+    walk = np.empty((2, dim, 3 * rows), dtype=complex)
+    X3 = np.tile(X, (3, 1))
 
-    def estimate(psi: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        return _shot_estimates(_probabilities(psi, spare), shots, next(seeds))
+    def estimate(state: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        return _shot_estimates(_probabilities(state, scratch), shots, next(seeds))
 
-    preds = estimate(states, out)
-    flat = angles.reshape(-1)
-    grad = np.empty(flat.size)
-    for j in range(flat.size):
-        shifted, block, shifts = flat.copy(), j // (3 * n), []
-        for step in (math.pi / 2, -math.pi):
-            shifted[j] += step
+    preds = estimate(psi, spare)
+    grad = np.empty_like(angles)
+    column = np.zeros((dim, 1), dtype=complex)
+    column[0] = 1.0
+    for block in range(config.n_layers + 1):
+        state, other = (starts[block - 1], spare) if block else (column, np.empty_like(column))
+        for q in range(n):
+            state, other = _apply_rotations(angles[block, q], q, state, other)
             if block:
-                states[...] = starts[block - 1]
-            walk = _forward(config, shifted.reshape(angles.shape), X, states, out, first=block)
-            shifts.append(estimate(*walk))
-        plus, minus = shifts
-        grad[j] = np.mean(2.0 * (preds - y) * ((plus - minus) / 2.0))
-    return preds, grad.reshape(angles.shape)
+                probes = _probes(state, q, walk[0])
+                probes, out = _apply_block(config, angles, block, probes, walk[1], q + 1)
+            else:  # W_0's rest on three columns, then broadcast into the rows
+                columns = _probes(state, q, np.empty((dim, 3), dtype=complex))
+                columns = _apply_block(config, angles, 0, columns, np.empty_like(columns), q + 1)
+                walk[0].reshape(dim, 3, rows)[...] = columns[0][:, :, None]
+                probes, out = walk
+            phi, free = _forward(config, angles, X3, probes, out, resume=block + 1)
+            phi = phi.reshape(dim, 3, rows).swapaxes(0, 1)  # Phi_00, Phi_01, Phi_10
+            shifted, term, scratch = free.reshape(3, dim, rows)
+            for a, pair in enumerate(_shifts(angles[block, q])):
+                estimates = []
+                for G in pair:
+                    # sum_ij G[i, j] Phi_ij, with Phi_11 = psi - Phi_00
+                    np.multiply(G[1, 1], psi, out=shifted)
+                    for g, probe in zip((G[0, 0] - G[1, 1], G[0, 1], G[1, 0]), phi):
+                        shifted += np.multiply(g, probe, out=term)
+                    estimates.append(estimate(shifted, scratch))
+                plus, minus = estimates
+                grad[block, q, a] = np.mean(2.0 * (preds - y) * ((plus - minus) / 2.0))
+    return preds, grad
 
 
 def expectation(
@@ -728,8 +805,7 @@ def sample_bitstrings(state: np.ndarray, shots: int, seed: int) -> dict[str, int
     ``state`` is one vector of 2**n amplitudes, n >= 1. Bitstrings read
     qubit 0 first (most significant bit).  Deterministic for a fixed seed.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    _check_shots(shots)
     state = np.asarray(state, dtype=complex)
     dim = len(state) if state.ndim == 1 else 0
     if dim < 2 or dim & (dim - 1):

@@ -1,12 +1,15 @@
-"""Shots training with full passes: the oracle of the resumed shifted evaluations.
+"""Shots training with full passes: the oracle of the probe-combined shifted evaluations.
 
 ``pipeline.train`` with shots takes its predictions and parameter-shift
 gradient from ``simulator._shots_gradient``, whose scoring pass saves
-each block's start and whose shifted evaluations resume from them. This
-is the trainer it replaced: the scoring evaluation and every one of the
-2P shifted evaluations is a full ``expectation_batch`` pass, gate by
-gate from |0..0>, with the next consecutive seed. Not a test module:
-the tests import it from here.
+each block's start and whose shifted states are combined from three
+probe walks per qubit and block; they equal full passes' to within
+~1e-15. This is the trainer it replaced: the scoring evaluation and
+every one of the 2P shifted evaluations is a full ``expectation_batch``
+pass, gate by gate from |0..0>, with the next consecutive seed. The
+seeds and their order must match exactly; the shot counts, losses and
+parameters have matched in every case tried. Not a test module: the
+tests import it from here.
 """
 
 import math

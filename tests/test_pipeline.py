@@ -1,6 +1,7 @@
 """Surrogation routes, trainer, memory estimator, and bound calculators."""
 
 import ast
+import collections
 import itertools
 import math
 import tracemalloc
@@ -823,31 +824,66 @@ def test_shots_training_equals_the_full_pass_oracle_on_drawn_circuits(case):
     assert seeds == oracle_seeds
 
 
+@settings(max_examples=30, deadline=None)
+@given(_shots_training_case())
+def test_every_shifted_state_from_the_probes_is_a_direct_walks(case):
+    """Each shifted circuit's |psi'|^2, combined from its qubit's three probe
+    walks, is that of ``run_circuit_batch`` at the shifted angles, to 1e-12;
+    the scoring pass's is the unshifted circuit's, bit for bit."""
+    config, ds, tc, init = case
+    seen = []
+
+    def recording(probs, shots, seed):
+        seen.append(probs.copy())
+        return np.zeros(len(probs))
+
+    with mock.patch.object(simulator, "_shot_estimates", recording):
+        simulator._shots_gradient(config, init, ds.X, ds.y, tc.shots, itertools.count())
+    flat = init.angles.reshape(-1)
+    direct = [simulator.run_circuit_batch(config, init, ds.X)]
+    for j in range(flat.size):
+        for step in (math.pi / 2, -math.pi / 2):
+            shifted = flat.copy()
+            shifted[j] += step
+            params = ParameterSet(shifted.reshape(init.angles.shape))
+            direct.append(simulator.run_circuit_batch(config, params, ds.X))
+    assert len(seen) == len(direct) == 1 + 2 * flat.size
+    np.testing.assert_array_equal(seen[0], np.abs(direct[0]) ** 2)
+    for probs, states in zip(seen[1:], direct[1:]):
+        np.testing.assert_allclose(probs, np.abs(states) ** 2, rtol=0, atol=1e-12)
+
+
 def test_shots_iteration_walks_each_shifted_evaluation_from_its_block(monkeypatch):
-    """One shots iteration applies the hand count of rotations, not 2P + 2 full passes."""
-    calls = []
+    """One shots iteration applies the hand count of rotations, by width: a
+    full pass to score angles 0 that saves each block's start, one walk of
+    each block's rotations from that start, one probe batch per (block,
+    qubit) from there to the end, and a full pass to score angles 1."""
+    widths = []
     rotate = simulator._rotate_batch
 
-    def counting(*args):
-        calls.append(1)
-        return rotate(*args)
+    def counting(states, *args):
+        widths.append(states.shape[1])
+        return rotate(states, *args)
 
     monkeypatch.setattr(simulator, "_rotate_batch", counting)
     config = CircuitConfig(n_qubits=3, n_layers=2)
     X, y = _random_data(config, rows=6, seed=4)
     init = ParameterSet.random(config, seed=4)  # no angle is 0.0 or +-pi/2
     train(config, Dataset(X=X, y=y), TrainConfig(shots=32, max_iters=1), init=init)
-    n, L = config.n_qubits, config.n_layers
+    n, L, rows = config.n_qubits, config.n_layers, len(X)
 
-    def from_block(b):
-        """Rotations and encodings from W_b's first rotation to the end."""
-        return 3 * n * (L + 1 - b) + n * (L - b)
+    def after(b):
+        """Encodings and rotations after W_b, to the end."""
+        return 4 * n * (L - b)
 
-    scoring = from_block(0)  # angles 1, a full pass
-    prefix = from_block(0)  # scores angles 0 and saves each block's start
-    shifted = sum(2 * 3 * n * from_block(b) for b in range(L + 1))
-    assert len(calls) == scoring + prefix + shifted
-    assert len(calls) < (2 + 2 * init.angles.size) * from_block(0)
+    rest = sum(3 * (n - 1 - q) for q in range(n))  # a block's rotations after each qubit's
+    assert collections.Counter(widths) == {
+        1: 2 * 3 * n + 3 * n,  # W_0 on one column: two full passes, then the prefix
+        rows: 2 * after(0) + 3 * n * L,  # the full passes' rest, the prefixes of W_1..W_L
+        3: rest,  # the rest of W_0 on the three probe columns
+        3 * rows: rest * L + n * sum(after(b) for b in range(L + 1)),  # the probe batches
+    }
+    assert len(widths) < (2 + 2 * init.angles.size) * (3 * n + after(0))
 
 
 def _walk_entries():

@@ -1,6 +1,7 @@
 """Simulator tests against an independent dense-matrix oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fourier_surrogates import (
     CircuitConfig,
     NoiseConfig,
     ParameterSet,
+    TrainConfig,
     expectation,
     expectation_batch,
     run_circuit,
@@ -630,6 +632,27 @@ def test_noise_config_validation():
         NoiseConfig(shots=0)
     with pytest.raises(ValueError):
         NoiseConfig(depolarizing_p=1.5)
+
+
+@pytest.mark.parametrize(
+    "shots", [2.5, 1.0, np.float64(4.0), True, False, math.nan, math.inf, 0, -3], ids=repr
+)
+def test_a_shot_count_is_a_positive_integer_everywhere(shots):
+    """int(2.5) shots divided by 2.5 would read <Z> of |0> as 0.8, and True
+    would pass as one shot: each entry names the count instead."""
+    match = "^shots must be a positive integer, got "
+    with pytest.raises(ValueError, match=match):
+        NoiseConfig(shots=shots)
+    with pytest.raises(ValueError, match=match):
+        TrainConfig(shots=shots)
+    with pytest.raises(ValueError, match=match):
+        sample_bitstrings(np.array([1.0, 0.0]), shots, seed=0)
+
+
+def test_numpy_integer_shot_counts_are_accepted():
+    assert NoiseConfig(shots=np.int64(3)).shots == 3
+    assert TrainConfig(shots=np.uint8(2)).shots == 2
+    assert sample_bitstrings(np.array([1.0, 0.0]), np.int32(5), seed=0) == {"0": 5}
 
 
 def test_sample_bitstrings_counts_and_labels():
