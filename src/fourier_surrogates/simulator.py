@@ -52,7 +52,13 @@ preallocated buffer that the walk then swaps with its input, so no gate
 allocates. W_0 acts before any input, so a batch walk applies it once,
 to one (2**n, 1) column, and broadcasts that column into the batch; the
 same kernels run in the same order as they would on every row. The
-adjoint holds (L + 2) state-sized arrays: the forward pass's two
+encodings' per-row entries are made once per walk (``_encoding``). A
+forward walk whose two buffers would not stay in L2 (``_TILE_BYTES``)
+runs in row tiles: each tile takes the whole walk in two (2**n, k)
+buffers carved from the batch's spare buffer, so each gate's passes
+stay in cache and no array is added. Every kernel acts on each row
+alone, so no value depends on the tiling; the sweep back is not tiled.
+The adjoint holds (L + 2) state-sized arrays: the forward pass's two
 buffers, which the sweep back reuses, and the L block starts it saved;
 at W_0 the sweep works on one column again. The shots gradient holds
 the same L + 2 plus one (2**n, 3 * rows) pair for its probe walks. The
@@ -319,10 +325,12 @@ def _rotation(axis: str, angles) -> tuple:
 def _rotate_batch(states, qubit: int, axis: str, angles, out) -> np.ndarray:
     """Apply exp(-i*angle*P/2) on one qubit of every row, into ``out``.
 
-    ``angles`` is a scalar (same rotation everywhere) or one angle per
-    row. ``states`` is spent unless the axis is z.
+    ``angles`` is a scalar (same rotation everywhere), one angle per
+    row, or the rotation's 2x2 as ``_rotation(axis, ...)`` made it, a
+    tuple. ``states`` is spent unless the axis is z.
     """
-    return _apply_1q(states, qubit, _rotation(axis, angles), out)
+    u = angles if isinstance(angles, tuple) else _rotation(axis, angles)
+    return _apply_1q(states, qubit, u, out)
 
 
 @lru_cache(maxsize=256)
@@ -376,38 +384,107 @@ def _apply_block(
     return states, out
 
 
-def _apply_encoding(config: CircuitConfig, X: np.ndarray, states, out):
-    """Apply E(x), Rx(x_f) on every qubit, to row x of every column; as ``_apply_block``."""
+def _encoding(config: CircuitConfig, X: np.ndarray) -> list:
+    """E(x)'s Rx entries for every row x of X: (cos(x_f/2), -i sin(x_f/2)) per feature f.
+
+    Made by ``_rotation`` once per walk; its encodings and row tiles read them.
+    """
+    return [_rotation("x", X[:, f])[0] for f in range(config.d_features)]
+
+
+def _apply_encoding(config: CircuitConfig, entries, states, out):
+    """Apply E(x), Rx(x_f) on every qubit, to row x of every column; as ``_apply_block``.
+
+    ``entries`` is ``_encoding``'s, for the rows ``states`` holds.
+    """
     for q, f in enumerate(config.feature_assignment):
-        states, out = _rotate_batch(states, q, "x", X[:, f], out), states
+        c, m = entries[f]
+        states, out = _rotate_batch(states, q, "x", ((c, m), (m, c)), out), states
+    return states, out
+
+
+#: The most bytes that a walk's two (2**n, rows) buffers may span before
+#: ``_forward`` walks the batch in row tiles. Every gate passes over the
+#: pair about seven times, so the pair should stay in L2 (2 MiB per core
+#: on the 2-vCPU Xeon this was measured on, where 0.75 and 1 MiB lost).
+_TILE_BYTES = 3 << 19
+
+
+def _tile_rows(dim: int, rows: int) -> int:
+    """Rows per tile of a (dim, rows) walk: all of them if the pair fits
+    ``_TILE_BYTES``, else those of the fewest equal tiles that fit, at most
+    half the batch, since both tile buffers come out of one batch buffer."""
+    fit = max(1, _TILE_BYTES // (2 * 16 * dim))  # two complex (dim, k) buffers
+    if rows <= fit:
+        return rows
+    tiles = (rows + fit - 1) // fit
+    return min((rows + tiles - 1) // tiles, rows // 2)
+
+
+def _walk_rows(config: CircuitConfig, angles, entries, states, out, starts, tile, first: int):
+    """Each encoding and W_first..W_L on the batch's rows ``tile``, held in ``states``.
+
+    ``entries`` is ``_encoding``'s for the whole batch; starts[b - 1][:, tile]
+    receives the state that enters W_b's rotations. As ``_apply_block``.
+    """
+    entries = [(c[tile], m[tile]) for c, m in entries]
+    for block in range(first, config.n_layers + 1):
+        states, out = _apply_encoding(config, entries, states, out)
+        if starts is not None:
+            starts[block - 1][:, tile] = states
+        states, out = _apply_block(config, angles, block, states, out)
     return states, out
 
 
 @_walk_buffer()
 def _forward(
-    config: CircuitConfig, angles: np.ndarray, X: np.ndarray, states, out, starts=None, resume=0
+    config: CircuitConfig,
+    angles: np.ndarray,
+    X: np.ndarray,
+    states,
+    out,
+    starts=None,
+    resume=0,
+    encoding=None,
 ):
     """U(x)|0..0> for every row x of X, walked in two (2**n, rows) buffers.
 
     W_0 acts before any input, so its kernels run once, on one (2**n, 1)
-    column, which ``states`` takes in every row. With ``resume`` = b >= 1,
+    column, which every row then takes. With ``resume`` = b >= 1,
     ``states`` already holds W_{b-1}'s output and the walk resumes at the
     encoding before W_b (at b = L + 1 it applies nothing). Each later
-    encoding and block alternates between ``states`` and ``out``. Given
-    ``starts``, (L, 2**n, rows), starts[b - 1] receives the state that
-    enters W_b's rotations. Returns (holder, spare), as ``_apply_block``
-    does: the buffer that holds the final states, and the other one.
+    encoding and block alternates between two buffers. Given ``starts``,
+    (L, 2**n, rows), starts[b - 1] receives the state that enters W_b's
+    rotations. ``encoding`` is ``_encoding(config, X)``, made here if the
+    caller has not.
+
+    A batch whose two buffers span more than ``_TILE_BYTES`` would go out
+    of L2 on every pass of every gate, so it is walked in row tiles
+    (``_tile_rows``): each tile takes the whole walk in two (2**n, k)
+    buffers carved from ``out``, starting from W_0's column or, on a
+    resume, from its rows of ``states``, and its final state is copied
+    into those rows. Rows are independent and every kernel acts on each
+    row alone, so no value depends on the tiling. Returns (holder,
+    spare), as ``_apply_block`` does: the buffer that holds the final
+    states, and the other one.
     """
+    dim, rows = states.shape
+    entries = _encoding(config, X) if encoding is None else encoding
     if not resume:
-        column = np.zeros((len(states), 1), dtype=complex)
+        column = np.zeros((dim, 1), dtype=complex)
         column[0] = 1.0
-        states[...] = _apply_block(config, angles, 0, column, np.empty_like(column))[0]
-        resume = 1
-    for block in range(resume, config.n_layers + 1):
-        states, out = _apply_encoding(config, X, states, out)
-        if starts is not None:
-            starts[block - 1] = states
-        states, out = _apply_block(config, angles, block, states, out)
+        column = _apply_block(config, angles, 0, column, np.empty_like(column))[0]
+    width = _tile_rows(dim, rows)
+    if width == rows:
+        if not resume:
+            states[...] = column
+        return _walk_rows(config, angles, entries, states, out, starts, slice(None), resume or 1)
+    pair = out.reshape(-1)
+    for lo in range(0, rows, width):
+        tile = slice(lo, min(lo + width, rows))
+        a, b = pair[: 2 * dim * (tile.stop - lo)].reshape(2, dim, -1)
+        a[...] = states[:, tile] if resume else column
+        states[:, tile] = _walk_rows(config, angles, entries, a, b, starts, tile, resume or 1)[0]
     return states, out
 
 
@@ -704,19 +781,19 @@ def _probes(psi: np.ndarray, qubit: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifts(triple) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The 2x2s G of a qubit's shifts: for each of its angles x, y, z, (+pi/2, -pi/2).
+def _shifts(triple) -> list[np.ndarray]:
+    """The 2x2s G that raise each of a qubit's angles x, y, z by pi/2.
 
     Raising angle a of Rz Ry Rx by s multiplies the triple on the left by
     G = A R_a(s) A^H, where A is the product of the rotations applied
-    after R_a: Rz Ry for x, Rz for y, the identity for z.
+    after R_a: Rz Ry for x, Rz for y, the identity for z. Lowering it by
+    pi/2 instead takes sqrt(2) I - G, as R_a(pi/2) + R_a(-pi/2) = sqrt(2) I.
     """
     rx, ry, rz = (np.array(_rotation(a, theta), dtype=complex) for a, theta in zip(_AXES, triple))
-    shifts = []
-    for axis, A in zip(_AXES, (rz @ ry, rz, np.eye(2))):
-        turns = (np.array(_rotation(axis, s), dtype=complex) for s in (math.pi / 2, -math.pi / 2))
-        shifts.append(tuple(A @ R @ A.conj().T for R in turns))
-    return shifts
+    return [
+        A @ np.array(_rotation(axis, math.pi / 2), dtype=complex) @ A.conj().T
+        for axis, A in zip(_AXES, (rz @ ry, rz, np.eye(2)))
+    ]
 
 
 @_walk_buffer()
@@ -742,15 +819,18 @@ def _shots_gradient(
     rotations are walked once (W_0's on its one column), and after each
     qubit's rotations the probes Phi_00, Phi_01 and Phi_10 are walked to
     the end as one (2**n, 3 * rows) batch, X tiled three times for the
-    encodings. That is 3n(L+1) probe walks for the 6n(L+1) shifted
-    circuits. The shifted states equal a full pass's to within ~1e-15;
-    the seeds and their order are a full pass's.
+    encodings, whose entries are made once per call. That is 3n(L+1)
+    probe walks for the 6n(L+1) shifted circuits. Each raised state is
+    combined from the probes, and the lowered one is sqrt(2) psi minus
+    it, in one pass. The shifted states equal a full pass's to within
+    ~1e-15; the seeds and their order are a full pass's.
     """
     X, psi, spare, starts = _simulate(config, params, X, save_starts=True)
     angles, n = params.angles, config.n_qubits
     dim, rows = psi.shape
     walk = np.empty((2, dim, 3 * rows), dtype=complex)
     X3 = np.tile(X, (3, 1))
+    encoding = _encoding(config, X3)
 
     def estimate(state: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         return _shot_estimates(_probabilities(state, scratch), shots, next(seeds))
@@ -771,18 +851,20 @@ def _shots_gradient(
                 columns = _apply_block(config, angles, 0, columns, np.empty_like(columns), q + 1)
                 walk[0].reshape(dim, 3, rows)[...] = columns[0][:, :, None]
                 probes, out = walk
-            phi, free = _forward(config, angles, X3, probes, out, resume=block + 1)
+            phi, free = _forward(
+                config, angles, X3, probes, out, resume=block + 1, encoding=encoding
+            )
             phi = phi.reshape(dim, 3, rows).swapaxes(0, 1)  # Phi_00, Phi_01, Phi_10
-            shifted, term, scratch = free.reshape(3, dim, rows)
-            for a, pair in enumerate(_shifts(angles[block, q])):
-                estimates = []
-                for G in pair:
-                    # sum_ij G[i, j] Phi_ij, with Phi_11 = psi - Phi_00
-                    np.multiply(G[1, 1], psi, out=shifted)
-                    for g, probe in zip((G[0, 0] - G[1, 1], G[0, 1], G[1, 0]), phi):
-                        shifted += np.multiply(g, probe, out=term)
-                    estimates.append(estimate(shifted, scratch))
-                plus, minus = estimates
+            shifted, root2_psi, scratch = free.reshape(3, dim, rows)
+            np.multiply(math.sqrt(2.0), psi, out=root2_psi)
+            for a, G in enumerate(_shifts(angles[block, q])):
+                # sum_ij G[i, j] Phi_ij, with Phi_11 = psi - Phi_00
+                np.multiply(G[1, 1], psi, out=shifted)
+                for g, probe in zip((G[0, 0] - G[1, 1], G[0, 1], G[1, 0]), phi):
+                    shifted += np.multiply(g, probe, out=scratch)
+                plus = estimate(shifted, scratch)
+                # lowered by pi/2: (sqrt(2) I - G) applied, sqrt(2) psi - the raised state
+                minus = estimate(np.subtract(root2_psi, shifted, out=shifted), scratch)
                 grad[block, q, a] = np.mean(2.0 * (preds - y) * ((plus - minus) / 2.0))
     return preds, grad
 

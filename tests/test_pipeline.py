@@ -935,6 +935,98 @@ def test_walks_scope_the_ufunc_buffer_and_restore_the_callers(monkeypatch, entry
         np.setbufsize(previous)
 
 
+def _walk_outputs(config, params, X, y):
+    """Every output of the four walk entry points, exact and sampled."""
+    f, grad = mse_gradient(config, params, X, y)
+    shot_f, shot_grad = simulator._shots_gradient(config, params, X, y, 64, itertools.count(3))
+    return {
+        "run_circuit_batch": simulator.run_circuit_batch(config, params, X),
+        "expectation_batch": expectation_batch(config, params, X),
+        "expectation_batch-shots": expectation_batch(config, params, X, NoiseConfig(64, seed=2)),
+        "mse_gradient-f": f,
+        "mse_gradient-grad": grad,
+        "_shots_gradient-f": shot_f,
+        "_shots_gradient-grad": shot_grad,
+    }
+
+
+def _assert_row_tiles_change_no_bit(config, params, X, y, width):
+    """Walked in tiles of at most ``width`` rows, every output is the one-tile
+    walk's, bit for bit; with more rows than ``width`` every walk is tiled."""
+    dim = 2**config.n_qubits
+    with mock.patch.object(simulator, "_TILE_BYTES", 1 << 62):
+        whole = _walk_outputs(config, params, X, y)
+    walk_rows = simulator._walk_rows
+    widths, tiles = [], []
+
+    def recording(*args):
+        widths.append(args[3].shape[1])
+        tiles.append(args[6])
+        return walk_rows(*args)
+
+    with mock.patch.object(simulator, "_TILE_BYTES", 2 * 16 * dim * width), \
+            mock.patch.object(simulator, "_walk_rows", recording):
+        tiled = _walk_outputs(config, params, X, y)
+    for name, value in whole.items():
+        np.testing.assert_array_equal(tiled[name], value, err_msg=name)
+    assert max(widths) <= width
+    if len(X) > width:
+        assert slice(None) not in tiles
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 7, 8])
+def test_row_tiles_change_no_bit(rows, width):
+    """Tiles of 1-3 rows, with an uneven last tile at 7 rows, and one row alone."""
+    config = CircuitConfig(n_qubits=3, n_layers=2, coupling_map=((2, 0), (0, 1)))
+    X, y = _random_data(config, rows=rows, seed=rows)
+    angles = ParameterSet.random(config, seed=width).angles
+    angles[1, 0, 1] = 0.0
+    _assert_row_tiles_change_no_bit(config, ParameterSet(angles), X, y, width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_circuit(), st.integers(1, 3))
+def test_row_tiles_change_no_bit_on_drawn_circuits(case, width):
+    _assert_row_tiles_change_no_bit(*case, width)
+
+
+def test_tile_rows_takes_the_fewest_equal_tiles_that_fit():
+    dim = 2**8
+    pair = 2 * 16 * dim
+    with mock.patch.object(simulator, "_TILE_BYTES", 175 * pair):
+        assert simulator._tile_rows(dim, 175) == 175
+        assert simulator._tile_rows(dim, 350) == 175
+        assert simulator._tile_rows(dim, 1050) == 175
+        assert simulator._tile_rows(dim, 351) == 117
+        assert simulator._tile_rows(dim, 176) == 88
+    with mock.patch.object(simulator, "_TILE_BYTES", pair // 2):
+        assert simulator._tile_rows(dim, 1) == 1
+        assert simulator._tile_rows(dim, 2) == 1
+        assert simulator._tile_rows(dim, 3) == 1
+    # both tile buffers come out of one batch buffer: at most half its rows
+    with mock.patch.object(simulator, "_TILE_BYTES", 2 * pair):
+        assert simulator._tile_rows(dim, 3) == 1
+    # the shipped budget walks the showcase's 8q/350-row batch in two tiles
+    assert simulator._tile_rows(dim, 350) == 175
+    assert simulator._tile_rows(2**7, 350) == 350
+
+
+def test_row_tiled_forward_holds_two_state_sized_buffers():
+    """The tiles are carved from the walk's spare buffer, not allocated."""
+    config = CircuitConfig(n_qubits=8, n_layers=2)
+    X, _ = _random_data(config, rows=350, seed=2)
+    params = ParameterSet.random(config, seed=2)
+    expectation_batch(config, params, X)  # the cached permutations and observables
+    tracemalloc.start()
+    try:
+        expectation_batch(config, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 2 * 16 * 2**8 * 350
+
+
 # ---------------------------------------------------------------------------
 # bound calculators
 # ---------------------------------------------------------------------------
