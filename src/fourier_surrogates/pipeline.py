@@ -31,9 +31,9 @@ df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2 exactly, so one
 iteration costs 2P + 1 sampled circuit evaluations
 (``simulator._shots_gradient``). The unshifted one saves the state at
 each block's start. The six shifted circuits of a qubit's three angles
-are then read off one walk of three probe states from that qubit's
-rotations to the end, so the 2P shifted states cost 3n(L+1) walks of
-a 3 * rows batch, and equal full passes' to within ~1e-15.
+are then read off one walk of three probe states, cut after all of its
+block's rotations, so the 2P shifted states cost 3n(L+1) walks of a
+3 * rows batch, and equal full passes' to within ~1e-15.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .simulator import (
     NoiseConfig,
     ParameterSet,
     _check_shots,
+    _integer,
     _mean_z_diagonal,
     _shots_gradient,
     expectation_batch,
@@ -344,9 +345,9 @@ class TrainConfig:
     adjoint-state. With ``shots`` set, gradients are parameter-shift and
     every circuit evaluation is sampled, so gradients and recorded losses
     are noisy estimates. The 2P shifted states are combined from three
-    probe walks per qubit and block, and equal a full pass's to within
-    ~1e-15; each estimate is drawn with the seed a full pass would use,
-    in the same order.
+    probe walks per qubit, cut after all of its block's rotations, and
+    equal a full pass's to within ~1e-15; each estimate is drawn with the
+    seed a full pass would use, in the same order.
     """
 
     learning_rate: float = 0.2
@@ -358,6 +359,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.shots is not None:

@@ -36,13 +36,13 @@ adjoint method: a forward pass that saves each block's start, then a
 sweep back that carries only the costate; ``_shots_gradient`` is its
 sampled parameter-shift twin, which reads the six shifted circuits of
 each qubit's rotations off one walk of three probe states, stacked
-3 * rows wide. ``state_coefficients`` gives the state's
-Fourier coefficients in the inputs, for every input at once. Every
-per-row evaluation is checked, allocated and walked by ``_simulate``
-and read out as |psi|^2 by ``_probabilities``. The batch walk and the
-coefficient walk apply every W_b through one ``_apply_block``; the
-sweep back takes each block's CNOTs off at once and its rotations per
-qubit.
+3 * rows wide and cut after all of the block's rotations.
+``state_coefficients`` gives the state's Fourier coefficients in the
+inputs, for every input at once. Every per-row evaluation is checked,
+allocated, given E(x)'s entries and walked by ``_simulate``, and read
+out as |psi|^2 by ``_probabilities``. Every walk applies W_b through
+one ``_apply_block``, or the probes its CNOTs (``_couple``); the sweep
+back takes each block's CNOTs off at once and its rotations per qubit.
 
 Layout: inside this module a batch is held amplitudes first, as
 (2**n, rows), and a coefficient tensor as (2**n, k_0, ..., k_{d-1}).
@@ -52,7 +52,7 @@ preallocated buffer that the walk then swaps with its input, so no gate
 allocates. W_0 acts before any input, so a batch walk applies it once,
 to one (2**n, 1) column, and broadcasts that column into the batch; the
 same kernels run in the same order as they would on every row. The
-encodings' per-row entries are made once per walk (``_encoding``). A
+encodings' per-row entries are made once per call (``_encoding``). A
 forward walk whose two buffers would not stay in L2 (``_TILE_BYTES``)
 runs in row tiles: each tile takes the whole walk in two (2**n, k)
 buffers carved from the batch's spare buffer, so each gate's passes
@@ -96,6 +96,13 @@ _AXES = ("x", "y", "z")
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer and not a bool, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _linear_chain(n_qubits: int) -> tuple[tuple[int, int], ...]:
     return tuple((q, q + 1) for q in range(n_qubits - 1))
 
@@ -129,11 +136,13 @@ class CircuitConfig:
     feature_assignment: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _integer("n_qubits", self.n_qubits))
+        object.__setattr__(self, "n_layers", _integer("n_layers", self.n_layers))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         if self.n_layers < 1:
             raise ValueError("n_layers must be positive")
-        d = self.n_qubits if self.d_features is None else self.d_features
+        d = self.n_qubits if self.d_features is None else _integer("d_features", self.d_features)
         if not (1 <= d <= self.n_qubits):
             raise ValueError(f"d_features must be in [1, {self.n_qubits}], got {d}")
         object.__setattr__(self, "d_features", d)
@@ -176,9 +185,9 @@ class CircuitConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CircuitConfig":
         return cls(
-            n_qubits=int(doc["n_qubits"]),
-            n_layers=int(doc["n_layers"]),
-            d_features=int(doc["d_features"]),
+            n_qubits=doc["n_qubits"],
+            n_layers=doc["n_layers"],
+            d_features=doc["d_features"],
             coupling_map=tuple((int(c), int(t)) for c, t in doc["coupling_map"]),
             feature_assignment=tuple(int(f) for f in doc["feature_assignment"]),
         )
@@ -366,28 +375,29 @@ def _apply_rotations(triple, qubit: int, states, out):
     return states, out
 
 
-def _apply_block(
-    config: CircuitConfig, angles: np.ndarray, block: int, states, out, first_qubit: int = 0
-):
-    """Apply W_block to every column of ``states``, alternating with ``out``.
-
-    Each qubit's rotations by ``angles[block]`` (``_apply_rotations``),
-    then the coupling map's CNOTs. With ``first_qubit`` = q, the
-    rotations of qubits below q are taken as applied already and left
-    out. Returns (holder, spare): the buffer that holds the result, and
-    the other one.
-    """
-    for q in range(first_qubit, config.n_qubits):
-        states, out = _apply_rotations(angles[block, q], q, states, out)
+def _couple(config: CircuitConfig, states, out):
+    """The coupling map's CNOTs on every column of ``states``; as ``_apply_block``."""
     for c, t in config.coupling_map:
         states, out = _cnot_batch(states, c, t, out), states
     return states, out
 
 
+def _apply_block(config: CircuitConfig, angles: np.ndarray, block: int, states, out):
+    """Apply W_block to every column of ``states``, alternating with ``out``.
+
+    Each qubit's rotations by ``angles[block]`` (``_apply_rotations``),
+    then the coupling map's CNOTs (``_couple``). Returns (holder, spare):
+    the buffer that holds the result, and the other one.
+    """
+    for q in range(config.n_qubits):
+        states, out = _apply_rotations(angles[block, q], q, states, out)
+    return _couple(config, states, out)
+
+
 def _encoding(config: CircuitConfig, X: np.ndarray) -> list:
     """E(x)'s Rx entries for every row x of X: (cos(x_f/2), -i sin(x_f/2)) per feature f.
 
-    Made by ``_rotation`` once per walk; its encodings and row tiles read them.
+    Made by ``_rotation`` once per call (``_simulate``); every walk of the call reads them.
     """
     return [_rotation("x", X[:, f])[0] for f in range(config.d_features)]
 
@@ -437,26 +447,16 @@ def _walk_rows(config: CircuitConfig, angles, entries, states, out, starts, tile
 
 
 @_walk_buffer()
-def _forward(
-    config: CircuitConfig,
-    angles: np.ndarray,
-    X: np.ndarray,
-    states,
-    out,
-    starts=None,
-    resume=0,
-    encoding=None,
-):
-    """U(x)|0..0> for every row x of X, walked in two (2**n, rows) buffers.
+def _forward(config: CircuitConfig, angles, entries, states, out, starts=None, resume=0):
+    """U(x)|0..0> for every row x of the batch, walked in two (2**n, rows) buffers.
 
-    W_0 acts before any input, so its kernels run once, on one (2**n, 1)
-    column, which every row then takes. With ``resume`` = b >= 1,
-    ``states`` already holds W_{b-1}'s output and the walk resumes at the
-    encoding before W_b (at b = L + 1 it applies nothing). Each later
-    encoding and block alternates between two buffers. Given ``starts``,
-    (L, 2**n, rows), starts[b - 1] receives the state that enters W_b's
-    rotations. ``encoding`` is ``_encoding(config, X)``, made here if the
-    caller has not.
+    ``entries`` is ``_encoding``'s for the batch's rows. W_0 acts before
+    any input, so its kernels run once, on one (2**n, 1) column, which
+    every row then takes. With ``resume`` = b >= 1, ``states`` already
+    holds W_{b-1}'s output and the walk resumes at the encoding before
+    W_b (at b = L + 1 it applies nothing). Each later encoding and block
+    alternates between two buffers. Given ``starts``, (L, 2**n, rows),
+    starts[b - 1] receives the state that enters W_b's rotations.
 
     A batch whose two buffers span more than ``_TILE_BYTES`` would go out
     of L2 on every pass of every gate, so it is walked in row tiles
@@ -469,7 +469,6 @@ def _forward(
     states, and the other one.
     """
     dim, rows = states.shape
-    entries = _encoding(config, X) if encoding is None else encoding
     if not resume:
         column = np.zeros((dim, 1), dtype=complex)
         column[0] = 1.0
@@ -504,16 +503,18 @@ def _inputs(config: CircuitConfig, X) -> np.ndarray:
 def _simulate(config: CircuitConfig, params: ParameterSet, X, save_starts: bool = False):
     """Check the angles and inputs, allocate, and run ``_forward`` on every row of X.
 
-    Returns (X, psi, spare, starts): the checked inputs, the (2**n, rows)
-    final states, the walk's other buffer, and the block starts if asked.
+    Returns (entries, psi, spare, starts): E(x)'s entries (``_encoding``),
+    the (2**n, rows) final states, the walk's other buffer, and the block
+    starts if asked.
     """
     params.validate_for(config)
     X = _inputs(config, X)
     shape = (2**config.n_qubits, X.shape[0])
     states, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     starts = np.empty((config.n_layers,) + shape, dtype=complex) if save_starts else None
-    psi, spare = _forward(config, params.angles, X, states, out, starts)
-    return X, psi, spare, starts
+    entries = _encoding(config, X)
+    psi, spare = _forward(config, params.angles, entries, states, out, starts)
+    return entries, psi, spare, starts
 
 
 def _probabilities(psi: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -592,19 +593,20 @@ def mse_gradient(
     block b >= 1 ``_unapply_block`` takes the CNOTs off lam as one
     permutation and each qubit's rotations as one fused 2x2, reads the
     block's 3n gradients from 2x2 overlaps of lam with the saved start,
-    and the encodings are then un-applied gate by gate. Every row leaves
-    W_0 in the same state, W_0|0..0>'s column, so lam is summed over the
-    rows once and W_0's gradients are read from that one (2**n, 1)
-    column, against |0..0>.
+    and the encodings are then un-applied gate by gate, Rx(-x_f) by the
+    conjugates of the walk's entries. Every row leaves W_0 in the same
+    state, W_0|0..0>'s column, so lam is summed over the rows once and
+    W_0's gradients are read from that one (2**n, 1) column, against
+    |0..0>.
     The pass holds L + 2 state-sized arrays: the L saved starts and the
     two buffers the forward pass and the sweep alternate between, one of
     which takes |psi|^2 first. The predictions are computed as
     ``expectation_batch`` computes them.
     Returns (f, grad) with grad shaped like ``params.angles``.
     """
-    X, psi, spare, starts = _simulate(config, params, X, save_starts=True)
+    entries, psi, spare, starts = _simulate(config, params, X, save_starts=True)
     y = np.asarray(y, dtype=float)
-    n, rows = config.n_qubits, X.shape[0]
+    n, rows = config.n_qubits, psi.shape[1]
     if y.shape != (rows,):
         raise ValueError(f"targets of shape {y.shape} do not match {rows} input rows")
     w = _mean_z_diagonal(n)
@@ -613,12 +615,12 @@ def mse_gradient(
     lam = np.multiply(w[:, None], psi, out=psi)
     lam *= 2.0 * (preds - y) / rows
     grad = np.empty_like(params.angles)
+    undo = [((c, np.conj(m)), (np.conj(m), c)) for c, m in entries]  # Rx(-x_f)'s 2x2s
     for block in range(config.n_layers, 0, -1):
         start = starts[block - 1]
         lam, spare = _unapply_block(config, params.angles, block, lam, spare, start, grad)
         for q in range(n - 1, -1, -1):
-            theta = -X[:, config.feature_assignment[q]]
-            lam, spare = _rotate_batch(lam, q, "x", theta, spare), lam
+            lam, spare = _rotate_batch(lam, q, "x", undo[config.feature_assignment[q]], spare), lam
     column = lam.sum(axis=1, keepdims=True)
     origin = np.zeros_like(column)
     origin[0] = 1.0
@@ -768,11 +770,12 @@ def expectation_batch(
 def _probes(psi: np.ndarray, qubit: int, out: np.ndarray) -> np.ndarray:
     """E_00 psi, E_01 psi and E_10 psi side by side in ``out``, E_ij = |i><j| on ``qubit``.
 
-    ``psi`` is (2**n, width) and ``out`` C-contiguous (2**n, 3 * width),
-    probe p in columns p * width to (p + 1) * width.
+    ``out`` is C-contiguous (2**n, 3 * rows), probe p in columns p * rows
+    to (p + 1) * rows. ``psi`` is (2**n, rows), or one (2**n, 1) column
+    that every row of each probe takes.
     """
     a = psi.reshape(1 << qubit, 2, -1, psi.shape[1])
-    o = out.reshape(1 << qubit, 2, -1, 3, psi.shape[1])
+    o = out.reshape(a.shape[:3] + (3, -1))
     o[:, 1, :, :2] = 0.0
     o[:, 0, :, 2] = 0.0
     o[:, 0, :, 0] = a[:, 0]
@@ -816,21 +819,21 @@ def _shots_gradient(
     is the rest of the circuit applied to |i><j| psi_bq on qubit q, and
     Phi_11 = psi - Phi_00 with psi the scoring pass's final state. The
     scoring pass saves each block's start; from it each block's
-    rotations are walked once (W_0's on its one column), and after each
-    qubit's rotations the probes Phi_00, Phi_01 and Phi_10 are walked to
-    the end as one (2**n, 3 * rows) batch, X tiled three times for the
-    encodings, whose entries are made once per call. That is 3n(L+1)
-    probe walks for the 6n(L+1) shifted circuits. Each raised state is
-    combined from the probes, and the lowered one is sqrt(2) psi minus
-    it, in one pass. The shifted states equal a full pass's to within
-    ~1e-15; the seeds and their order are a full pass's.
+    rotations are walked once (W_0's on its one column). |i><j| on q
+    commutes with the other qubits' rotations, so each qubit's probes
+    Phi_00, Phi_01 and Phi_10 are cut from that one state and walked
+    through the block's CNOTs to the end as one (2**n, 3 * rows) batch,
+    the call's entries tiled three times. That is 3n(L+1) probe walks
+    for the 6n(L+1) shifted circuits. Each raised state is combined from
+    the probes, and the lowered one is sqrt(2) psi minus it, in one
+    pass. The shifted states equal a full pass's to within ~1e-15; the
+    seeds and their order are a full pass's.
     """
-    X, psi, spare, starts = _simulate(config, params, X, save_starts=True)
+    entries, psi, spare, starts = _simulate(config, params, X, save_starts=True)
     angles, n = params.angles, config.n_qubits
     dim, rows = psi.shape
     walk = np.empty((2, dim, 3 * rows), dtype=complex)
-    X3 = np.tile(X, (3, 1))
-    encoding = _encoding(config, X3)
+    tiled = [(np.tile(c, 3), np.tile(m, 3)) for c, m in entries]
 
     def estimate(state: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         return _shot_estimates(_probabilities(state, scratch), shots, next(seeds))
@@ -839,21 +842,14 @@ def _shots_gradient(
     grad = np.empty_like(angles)
     column = np.zeros((dim, 1), dtype=complex)
     column[0] = 1.0
-    for block in range(config.n_layers + 1):
-        state, other = (starts[block - 1], spare) if block else (column, np.empty_like(column))
+    for block, start in enumerate([column, *starts]):
+        # W_b's rotations, once; ``spare`` is free after the scoring estimate
+        state, other = start, spare.reshape(-1)[: start.size].reshape(start.shape)
         for q in range(n):
             state, other = _apply_rotations(angles[block, q], q, state, other)
-            if block:
-                probes = _probes(state, q, walk[0])
-                probes, out = _apply_block(config, angles, block, probes, walk[1], q + 1)
-            else:  # W_0's rest on three columns, then broadcast into the rows
-                columns = _probes(state, q, np.empty((dim, 3), dtype=complex))
-                columns = _apply_block(config, angles, 0, columns, np.empty_like(columns), q + 1)
-                walk[0].reshape(dim, 3, rows)[...] = columns[0][:, :, None]
-                probes, out = walk
-            phi, free = _forward(
-                config, angles, X3, probes, out, resume=block + 1, encoding=encoding
-            )
+        for q in range(n):
+            probes, out = _couple(config, _probes(state, q, walk[0]), walk[1])
+            phi, free = _forward(config, angles, tiled, probes, out, resume=block + 1)
             phi = phi.reshape(dim, 3, rows).swapaxes(0, 1)  # Phi_00, Phi_01, Phi_10
             shifted, root2_psi, scratch = free.reshape(3, dim, rows)
             np.multiply(math.sqrt(2.0), psi, out=root2_psi)

@@ -17,6 +17,7 @@ from fourier_surrogates.simulator import (
     _PAULIS,
     _apply_1q,
     _cnot_batch,
+    _encoding,
     _forward,
     _inputs,
     _mean_z_diagonal,
@@ -49,7 +50,11 @@ def psi_lam_mse_gradient(config, params, X, y):
     size = dim * rows
     first, second = np.empty(2 * size, dtype=complex), np.empty(2 * size, dtype=complex)
     psi, _ = _forward(
-        config, params.angles, X, first[:size].reshape(dim, rows), second[:size].reshape(dim, rows)
+        config,
+        params.angles,
+        _encoding(config, X),
+        first[:size].reshape(dim, rows),
+        second[:size].reshape(dim, rows),
     )
     if not np.may_share_memory(psi, first):
         first, second = second, first

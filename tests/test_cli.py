@@ -479,6 +479,21 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     assert str(bad) in err["message"]
 
 
+def test_a_circuit_file_with_a_fractional_layer_count_exits_2(tmp_path, capsys):
+    """``"n_layers": 1.5`` is refused, not read as one layer."""
+    config = fs.CircuitConfig(n_qubits=2, n_layers=1)
+    doc = {
+        "config": {**config.to_json_dict(), "n_layers": 1.5},
+        "params": fs.ParameterSet.zeros(config).to_json_dict(),
+    }
+    bad = tmp_path / "circuit.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("surrogate", "exact", "--circuit", bad, "--out-dir", tmp_path) == 2
+    err = last_stderr_json(capsys)
+    assert (err["error"], err["exit_code"]) == ("InputFormatError", 2)
+    assert "n_layers must be an integer, got 1.5" in err["message"]
+
+
 def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
     from fourier_surrogates import cli
 

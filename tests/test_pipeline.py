@@ -856,8 +856,11 @@ def test_every_shifted_state_from_the_probes_is_a_direct_walks(case):
 def test_shots_iteration_walks_each_shifted_evaluation_from_its_block(monkeypatch):
     """One shots iteration applies the hand count of rotations, by width: a
     full pass to score angles 0 that saves each block's start, one walk of
-    each block's rotations from that start, one probe batch per (block,
-    qubit) from there to the end, and a full pass to score angles 1."""
+    each block's rotations from that start (W_0's on its one column), one
+    probe batch per (block, qubit) from the block's CNOTs to the end, and
+    a full pass to score angles 1. The probes are cut after all of the
+    block's rotations, so no probe batch and no three-column batch
+    applies any of them again."""
     widths = []
     rotate = simulator._rotate_batch
 
@@ -876,12 +879,10 @@ def test_shots_iteration_walks_each_shifted_evaluation_from_its_block(monkeypatc
         """Encodings and rotations after W_b, to the end."""
         return 4 * n * (L - b)
 
-    rest = sum(3 * (n - 1 - q) for q in range(n))  # a block's rotations after each qubit's
     assert collections.Counter(widths) == {
-        1: 2 * 3 * n + 3 * n,  # W_0 on one column: two full passes, then the prefix
-        rows: 2 * after(0) + 3 * n * L,  # the full passes' rest, the prefixes of W_1..W_L
-        3: rest,  # the rest of W_0 on the three probe columns
-        3 * rows: rest * L + n * sum(after(b) for b in range(L + 1)),  # the probe batches
+        1: 2 * 3 * n + 3 * n,  # W_0 on one column: two full passes, then the gradient's walk
+        rows: 2 * after(0) + 3 * n * L,  # the full passes' rest, the rotations of W_1..W_L
+        3 * rows: n * sum(after(b) for b in range(L + 1)),  # the probe batches
     }
     assert len(widths) < (2 + 2 * init.angles.size) * (3 * n + after(0))
 

@@ -1,5 +1,6 @@
 """Simulator tests against an independent dense-matrix oracle."""
 
+import itertools
 import json
 import math
 
@@ -19,6 +20,7 @@ from fourier_surrogates import (
     sample_bitstrings,
 )
 from fourier_surrogates import simulator
+from fourier_surrogates.pipeline import fingerprint_of, surrogate_exact
 
 # ---------------------------------------------------------------------------
 # oracle: build the circuit unitary from explicit 2x2 matrices and kron
@@ -405,6 +407,34 @@ def test_config_validation():
         CircuitConfig(n_qubits=2, n_layers=1, d_features=2, feature_assignment=(0, 0))
 
 
+@pytest.mark.parametrize("count", [1.5, 2.0, np.float64(3.0), True, False, "2"], ids=repr)
+def test_circuit_and_iteration_counts_are_integers_everywhere(count):
+    """int(1.5) layers would read as one and True as one iteration: each
+    entry names the count instead."""
+    makers = {
+        "n_qubits": lambda: CircuitConfig(n_qubits=count, n_layers=1),
+        "n_layers": lambda: CircuitConfig(n_qubits=2, n_layers=count),
+        "d_features": lambda: CircuitConfig(n_qubits=2, n_layers=1, d_features=count),
+        "max_iters": lambda: TrainConfig(max_iters=count),
+    }
+    for name, make in makers.items():
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            make()
+    doc = CircuitConfig(n_qubits=2, n_layers=1).to_json_dict()
+    with pytest.raises(ValueError, match="^n_layers must be an integer, got "):
+        CircuitConfig.from_json_dict({**doc, "n_layers": count})
+
+
+def test_numpy_integer_counts_are_stored_as_ints():
+    """A numpy count is taken, and stored as the int that JSON can write."""
+    config = CircuitConfig(np.int64(2), np.int64(1), d_features=np.int32(1))
+    assert [type(v) for v in (config.n_qubits, config.n_layers, config.d_features)] == [int] * 3
+    params = ParameterSet.random(config, seed=0)
+    assert surrogate_exact(config, params).fingerprint == fingerprint_of(config, params)
+    assert config == CircuitConfig(2, 1, d_features=1)
+    assert type(TrainConfig(max_iters=np.uint8(2)).max_iters) is int
+
+
 def test_config_round_trips_through_json():
     config = CircuitConfig(n_qubits=3, n_layers=2, d_features=2)
     again = CircuitConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
@@ -680,3 +710,80 @@ def test_sample_bitstrings_distribution():
     assert set(counts) == {"0", "1"}
     assert sum(counts.values()) == 10_000
     assert abs(counts["0"] - 5000) < 300
+
+
+# ---------------------------------------------------------------------------
+# E(x)'s entries: made once per call, conjugated for the sweep back, tiled
+# for the probe batches; the numpy facts that keep those bit for bit
+# ---------------------------------------------------------------------------
+
+_ANGLE = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-1e3, 1e3, allow_subnormal=True),
+)
+
+
+def _bits(values) -> np.ndarray:
+    """The raw bits of a float or complex array, so that signed zeros count."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ANGLE, min_size=1, max_size=64))
+def test_rx_of_minus_x_has_the_conjugates_of_rx_of_xs_entries(angles):
+    """``mse_gradient`` un-applies each encoding Rx(x_f) with the conjugates
+    of the forward walk's entries; they are Rx(-x_f)'s, bit for bit."""
+    x = np.array(angles)
+    (c, m), _ = simulator._rotation("x", x)
+    (c_neg, m_neg), _ = simulator._rotation("x", -x)
+    np.testing.assert_array_equal(_bits(c_neg), _bits(c))
+    np.testing.assert_array_equal(_bits(m_neg), _bits(np.conjugate(m)))
+
+
+@st.composite
+def _input_batch(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 40))
+    return np.array(draw(st.lists(_ANGLE, min_size=d * rows, max_size=d * rows))).reshape(rows, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_input_batch())
+def test_tiled_inputs_give_the_tiled_encoding_entries(X):
+    """``_shots_gradient``'s probe batches read the call's entries tiled
+    three times; they are the entries of the tiled inputs, bit for bit."""
+    config = CircuitConfig(n_qubits=X.shape[1], n_layers=1)
+    tiled = simulator._encoding(config, np.tile(X, (3, 1)))
+    for (c3, m3), (c, m) in zip(tiled, simulator._encoding(config, X), strict=True):
+        np.testing.assert_array_equal(_bits(c3), _bits(np.tile(c, 3)))
+        np.testing.assert_array_equal(_bits(m3), _bits(np.tile(m, 3)))
+
+
+@pytest.mark.parametrize("entry", ["expectation_batch", "mse_gradient", "_shots_gradient"])
+def test_each_call_makes_the_encoding_entries_once(monkeypatch, entry):
+    """``_rotation`` runs on per-row angles d times per call, with the walks
+    tiled: every encoding, row tile, probe batch and un-applied encoding
+    reads the entries that ``_simulate`` made."""
+    config = CircuitConfig(n_qubits=4, n_layers=2, d_features=3)
+    params = ParameterSet.random(config, seed=1)
+    rng = np.random.default_rng(1)
+    X, y = rng.uniform(0, 2 * np.pi, size=(5, 3)), rng.uniform(-1, 1, size=5)
+    calls = {
+        "expectation_batch": lambda: expectation_batch(config, params, X),
+        "mse_gradient": lambda: simulator.mse_gradient(config, params, X, y),
+        "_shots_gradient": lambda: simulator._shots_gradient(
+            config, params, X, y, 16, itertools.count()
+        ),
+    }
+    per_row = []
+    rotation = simulator._rotation
+
+    def counting(axis, angles):
+        if np.ndim(angles):
+            per_row.append(axis)
+        return rotation(axis, angles)
+
+    monkeypatch.setattr(simulator, "_rotation", counting)
+    monkeypatch.setattr(simulator, "_TILE_BYTES", 2 * 16 * 2**config.n_qubits * 2)
+    calls[entry]()
+    assert per_row == ["x"] * config.d_features
