@@ -55,6 +55,7 @@ from .simulator import (
     _check_shots,
     _integer,
     _mean_z_diagonal,
+    _seed,
     _shots_gradient,
     expectation_batch,
     mse_gradient,
@@ -357,14 +358,15 @@ class TrainConfig:
     tol: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
+        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.shots is not None:
             _check_shots(self.shots)
-        if not 0 <= self.tol < math.inf:
+        if isinstance(self.tol, bool) or not 0 <= self.tol < math.inf:
             raise ValueError("tol must be non-negative and finite")
 
 

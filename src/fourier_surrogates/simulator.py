@@ -41,8 +41,9 @@ each qubit's rotations off one walk of three probe states, stacked
 inputs, for every input at once. Every per-row evaluation is checked,
 allocated, given E(x)'s entries and walked by ``_simulate``, and read
 out as |psi|^2 by ``_probabilities``. Every walk applies W_b through
-one ``_apply_block``, or the probes its CNOTs (``_couple``); the sweep
-back takes each block's CNOTs off at once and its rotations per qubit.
+one ``_apply_block``, or the probes its CNOTs (``_couple``), a coupling
+layer as one permutation; the sweep back takes it off by the reversed
+map's, and each qubit's rotations as one fused 2x2.
 
 Layout: inside this module a batch is held amplitudes first, as
 (2**n, rows), and a coefficient tensor as (2**n, k_0, ..., k_{d-1}).
@@ -61,13 +62,13 @@ alone, so no value depends on the tiling; the sweep back is not tiled.
 The adjoint holds (L + 2) state-sized arrays: the forward pass's two
 buffers, which the sweep back reuses, and the L block starts it saved;
 at W_0 the sweep works on one column again. The shots gradient holds
-the same L + 2 plus one (2**n, 3 * rows) pair for its probe walks. The
-per-row walks (``_forward``, the adjoint sweep, the shots gradient's
-probe walks) run with numpy's ufunc buffer scoped to 512 elements
-(``_walk_buffer``), which changes no value. The public boundary stays
-rows first: ``run_circuit_batch`` returns a C-contiguous (rows, 2**n)
-array through one transpose at the end, and ``state_coefficients``
-returns (k_0, ..., k_{d-1}, 2**n).
+the same L + 2 plus one (2**n, 3 * rows) pair for its probe walks.
+Every walk (``_forward``, the adjoint sweep, the shots gradient's probe
+walks and the coefficient walk) runs with numpy's ufunc buffer scoped to
+512 elements (``_walk_buffer``), which changes no value. The public
+boundary stays rows first: ``run_circuit_batch`` returns a C-contiguous
+(rows, 2**n) array through one transpose at the end, and
+``state_coefficients`` returns (k_0, ..., k_{d-1}, 2**n).
 """
 
 from __future__ import annotations
@@ -101,10 +102,6 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _linear_chain(n_qubits: int) -> tuple[tuple[int, int], ...]:
-    return tuple((q, q + 1) for q in range(n_qubits - 1))
 
 
 @dataclass(frozen=True)
@@ -146,26 +143,22 @@ class CircuitConfig:
         if not (1 <= d <= self.n_qubits):
             raise ValueError(f"d_features must be in [1, {self.n_qubits}], got {d}")
         object.__setattr__(self, "d_features", d)
-        if self.coupling_map is None:
-            object.__setattr__(self, "coupling_map", _linear_chain(self.n_qubits))
-        else:
-            object.__setattr__(
-                self, "coupling_map", tuple((int(c), int(t)) for c, t in self.coupling_map)
-            )
-        for c, t in self.coupling_map:
+        pairs = self.coupling_map
+        if pairs is None:
+            pairs = [(q, q + 1) for q in range(self.n_qubits - 1)]
+        entry = "coupling_map entry"
+        pairs = tuple((_integer(entry, c), _integer(entry, t)) for c, t in pairs)
+        object.__setattr__(self, "coupling_map", pairs)
+        for c, t in pairs:
             if c == t:
                 raise ValueError(f"coupling pair ({c},{t}) has control == target")
             if not (0 <= c < self.n_qubits and 0 <= t < self.n_qubits):
                 raise ValueError(f"coupling pair ({c},{t}) out of range")
-        if self.feature_assignment is None:
-            object.__setattr__(
-                self, "feature_assignment", tuple(q % d for q in range(self.n_qubits))
-            )
-        else:
-            object.__setattr__(
-                self, "feature_assignment", tuple(int(f) for f in self.feature_assignment)
-            )
         fa = self.feature_assignment
+        if fa is None:
+            fa = [q % d for q in range(self.n_qubits)]
+        fa = tuple(_integer("feature_assignment entry", f) for f in fa)
+        object.__setattr__(self, "feature_assignment", fa)
         if len(fa) != self.n_qubits:
             raise ValueError("feature_assignment must cover every qubit")
         if any(not (0 <= f < d) for f in fa):
@@ -188,8 +181,8 @@ class CircuitConfig:
             n_qubits=doc["n_qubits"],
             n_layers=doc["n_layers"],
             d_features=doc["d_features"],
-            coupling_map=tuple((int(c), int(t)) for c, t in doc["coupling_map"]),
-            feature_assignment=tuple(int(f) for f in doc["feature_assignment"]),
+            coupling_map=tuple(map(tuple, doc["coupling_map"])),
+            feature_assignment=tuple(doc["feature_assignment"]),
         )
 
 
@@ -242,6 +235,13 @@ def _check_shots(shots) -> None:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
 
 
+def _seed(seed) -> int:
+    """A seed as an int if it is a non-negative integer, else a ValueError naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement-noise knobs for expectation values.
@@ -258,8 +258,9 @@ class NoiseConfig:
     def __post_init__(self):
         if self.shots is not None:
             _check_shots(self.shots)
-        if not (0.0 <= self.depolarizing_p <= 1.0):
+        if isinstance(self.depolarizing_p, bool) or not (0.0 <= self.depolarizing_p <= 1.0):
             raise ValueError("depolarizing_p must lie in [0, 1]")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +344,25 @@ def _rotate_batch(states, qubit: int, axis: str, angles, out) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _cnot_permutation(dim: int, control: int, target: int) -> np.ndarray:
+def _coupling(dim: int, coupling_map: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The index permutation of the map's CNOTs in list order, composed from
+    each pair's flip of the target bit where the control bit is set. A CNOT
+    is its own inverse, so ``_coupling(dim, map[::-1])`` takes the layer off."""
     n = dim.bit_length() - 1
     index = np.arange(dim)
-    perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
+    perm = index
+    for c, t in coupling_map:
+        perm = perm[index ^ (((index >> (n - 1 - c)) & 1) << (n - 1 - t))]
     perm.flags.writeable = False  # one cached array serves every caller
     return perm
 
 
-def _cnot_batch(states, control: int, target: int, out) -> np.ndarray:
-    """Flip ``target``'s bit of every amplitude index whose ``control`` bit is set.
+def _cnot_batch(states, perm, out) -> np.ndarray:
+    """A whole coupling layer: the amplitudes of ``states`` taken by ``_coupling``'s ``perm``.
 
     ``mode="clip"`` spares ``take`` its bounds check and the buffered
     copy that comes with it; the cached permutation is always in range.
     """
-    perm = _cnot_permutation(len(states), control, target)
     return np.take(states, perm, axis=0, out=out, mode="clip")
 
 
@@ -375,23 +380,25 @@ def _apply_rotations(triple, qubit: int, states, out):
     return states, out
 
 
-def _couple(config: CircuitConfig, states, out):
-    """The coupling map's CNOTs on every column of ``states``; as ``_apply_block``."""
-    for c, t in config.coupling_map:
-        states, out = _cnot_batch(states, c, t, out), states
-    return states, out
+def _couple(coupling_map, states, out):
+    """The map's CNOTs on every column of ``states`` in one pass (``_coupling``);
+    as ``_apply_block``. An empty map applies nothing."""
+    if not coupling_map:
+        return states, out
+    return _cnot_batch(states, _coupling(len(states), coupling_map), out), states
 
 
 def _apply_block(config: CircuitConfig, angles: np.ndarray, block: int, states, out):
     """Apply W_block to every column of ``states``, alternating with ``out``.
 
     Each qubit's rotations by ``angles[block]`` (``_apply_rotations``),
-    then the coupling map's CNOTs (``_couple``). Returns (holder, spare):
-    the buffer that holds the result, and the other one.
+    then the coupling map's CNOTs as one permutation (``_couple``).
+    Returns (holder, spare): the buffer that holds the result, and the
+    other one.
     """
     for q in range(config.n_qubits):
         states, out = _apply_rotations(angles[block, q], q, states, out)
-    return _couple(config, states, out)
+    return _couple(config.coupling_map, states, out)
 
 
 def _encoding(config: CircuitConfig, X: np.ndarray) -> list:
@@ -531,27 +538,13 @@ def run_circuit_batch(config: CircuitConfig, params: ParameterSet, X: np.ndarray
     return _simulate(config, params, X)[1].T.copy()
 
 
-@lru_cache(maxsize=256)
-def _uncoupling(dim: int, coupling_map: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The permutation that un-applies the coupling map's CNOTs at once.
-
-    ``np.take(states, it, axis=0)`` equals un-applying the CNOTs one by
-    one, last first, each by its own ``_cnot_permutation``.
-    """
-    index = np.arange(dim)
-    for c, t in reversed(coupling_map):
-        index = index[_cnot_permutation(dim, c, t)]
-    index.flags.writeable = False  # one cached array serves every caller
-    return index
-
-
 def _unapply_block(config: CircuitConfig, angles, block: int, lam, spare, start, grad):
     """Un-apply W_block from the costate ``lam`` and write grad[block].
 
     ``lam`` is the costate after W_block and ``start`` the state that
     enters W_block's rotations, both (2**n, rows); ``spare`` is a buffer
-    of their shape. The CNOTs come off as one permutation
-    (``_uncoupling``) and each qubit's Rx, Ry, Rz as the fused 2x2
+    of their shape. The CNOTs come off in one pass, as the reversed map's
+    (``_couple``), and each qubit's Rx, Ry, Rz as the fused 2x2
     U = Rx^H Ry^H Rz^H, so lam ends up beside ``start``. There a qubit's
     overlap M[a, b] = sum of conj(lam_a) start_b over its bit a, b and
     the rows holds every gradient of its three angles: the other qubits'
@@ -560,9 +553,7 @@ def _unapply_block(config: CircuitConfig, angles, block: int, lam, spare, start,
     Im<lam|P|psi> = Im sum_ab P[a, b] M[a, b] just after R.
     Returns (lam, spare).
     """
-    if config.coupling_map:
-        perm = _uncoupling(len(lam), config.coupling_map)
-        lam, spare = np.take(lam, perm, axis=0, out=spare, mode="clip"), lam
+    lam, spare = _couple(config.coupling_map[::-1], lam, spare)
     rotations = [
         [np.array(_rotation(axis, theta), dtype=complex) for axis, theta in zip(_AXES, triple)]
         for triple in angles[block]
@@ -657,6 +648,7 @@ def _encode_coefficients(coeffs: np.ndarray, qubit: int, feature: int, grown: np
     return grown
 
 
+@_walk_buffer()
 def state_coefficients(config: CircuitConfig, params: ParameterSet) -> np.ndarray:
     """Fourier coefficients C of the final state as a function of the inputs.
 
@@ -848,7 +840,7 @@ def _shots_gradient(
         for q in range(n):
             state, other = _apply_rotations(angles[block, q], q, state, other)
         for q in range(n):
-            probes, out = _couple(config, _probes(state, q, walk[0]), walk[1])
+            probes, out = _couple(config.coupling_map, _probes(state, q, walk[0]), walk[1])
             phi, free = _forward(config, angles, tiled, probes, out, resume=block + 1)
             phi = phi.reshape(dim, 3, rows).swapaxes(0, 1)  # Phi_00, Phi_01, Phi_10
             shifted, root2_psi, scratch = free.reshape(3, dim, rows)

@@ -17,6 +17,7 @@ from fourier_surrogates.simulator import (
     _PAULIS,
     _apply_1q,
     _cnot_batch,
+    _coupling,
     _encoding,
     _forward,
     _inputs,
@@ -70,7 +71,7 @@ def psi_lam_mse_gradient(config, params, X, y):
     grad = np.zeros_like(params.angles)
     for block in range(config.n_layers, -1, -1):
         for c, t in reversed(config.coupling_map):
-            sweep, spare = _cnot_batch(sweep, c, t, spare), sweep
+            sweep, spare = _cnot_batch(sweep, _coupling(dim, ((c, t),)), spare), sweep
         for q in range(n - 1, -1, -1):
             M = _overlap(sweep, q, spare)
             undo = np.eye(2, dtype=complex)

@@ -494,6 +494,21 @@ def test_a_circuit_file_with_a_fractional_layer_count_exits_2(tmp_path, capsys):
     assert "n_layers must be an integer, got 1.5" in err["message"]
 
 
+def test_a_circuit_file_with_a_fractional_qubit_index_exits_2(tmp_path, capsys):
+    """``"coupling_map": [[0.5, 1]]`` is refused, not read as the pair (0, 1)."""
+    config = fs.CircuitConfig(n_qubits=2, n_layers=1)
+    doc = {
+        "config": {**config.to_json_dict(), "coupling_map": [[0.5, 1]]},
+        "params": fs.ParameterSet.zeros(config).to_json_dict(),
+    }
+    bad = tmp_path / "circuit.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("surrogate", "exact", "--circuit", bad, "--out-dir", tmp_path) == 2
+    err = last_stderr_json(capsys)
+    assert (err["error"], err["exit_code"]) == ("InputFormatError", 2)
+    assert "coupling_map entry must be an integer, got 0.5" in err["message"]
+
+
 def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
     from fourier_surrogates import cli
 

@@ -53,6 +53,7 @@ from dense_oracle import build_complex_design, complex_fit_to_real
 from shift_oracle import shots_train_oracle
 from test_simulator import (
     _per_row_sampler,
+    pairwise_couple,
     row_major_mse_gradient,
     row_major_run,
     row_major_state_coefficients,
@@ -512,13 +513,13 @@ def test_adjoint_gradient_reaches_zero_angles():
 
 
 @st.composite
-def _small_circuit(draw):
+def _small_circuit(draw, max_pairs=4):
     n = draw(st.integers(1, 4))
     d = draw(st.integers(1, n))
     spare = draw(st.lists(st.integers(0, d - 1), min_size=n - d, max_size=n - d))
     assignment = draw(st.permutations(list(range(d)) + spare))
     pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
-    coupling = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    coupling = draw(st.lists(st.sampled_from(pairs), max_size=max_pairs)) if pairs else []
     config = CircuitConfig(
         n_qubits=n, n_layers=draw(st.integers(1, 3)), d_features=d,
         coupling_map=tuple(coupling), feature_assignment=tuple(assignment),
@@ -900,6 +901,7 @@ def _walk_entries():
         "train-shots": lambda: train(
             config, Dataset(X=X, y=y), TrainConfig(shots=16, max_iters=1), init=params
         ),
+        "state_coefficients": lambda: simulator.state_coefficients(config, params),
     }
 
 
@@ -937,7 +939,7 @@ def test_walks_scope_the_ufunc_buffer_and_restore_the_callers(monkeypatch, entry
 
 
 def _walk_outputs(config, params, X, y):
-    """Every output of the four walk entry points, exact and sampled."""
+    """Every output of the five walk entry points, exact and sampled."""
     f, grad = mse_gradient(config, params, X, y)
     shot_f, shot_grad = simulator._shots_gradient(config, params, X, y, 64, itertools.count(3))
     return {
@@ -948,6 +950,7 @@ def _walk_outputs(config, params, X, y):
         "mse_gradient-grad": grad,
         "_shots_gradient-f": shot_f,
         "_shots_gradient-grad": shot_grad,
+        "state_coefficients": simulator.state_coefficients(config, params),
     }
 
 
@@ -990,6 +993,35 @@ def test_row_tiles_change_no_bit(rows, width):
 @given(_small_circuit(), st.integers(1, 3))
 def test_row_tiles_change_no_bit_on_drawn_circuits(case, width):
     _assert_row_tiles_change_no_bit(*case, width)
+
+
+def _assert_one_pass_per_coupling_layer_changes_no_bit(config, params, X, y):
+    """With each layer's CNOTs applied, and taken off by the sweep back, one
+    at a time (``pairwise_couple``), every output is the one-permutation
+    walk's, bit for bit."""
+    whole = _walk_outputs(config, params, X, y)
+    with mock.patch.object(simulator, "_couple", pairwise_couple):
+        pairwise = _walk_outputs(config, params, X, y)
+    for name, value in whole.items():
+        np.testing.assert_array_equal(pairwise[name], value, err_msg=name)
+
+
+def test_one_pass_per_coupling_layer_changes_no_bit():
+    """Six pairs, a repeated one, a reversed one and non-adjacent ones, with d < n."""
+    config = CircuitConfig(
+        n_qubits=4, n_layers=2, d_features=2,
+        coupling_map=((0, 3), (3, 0), (0, 3), (2, 1), (1, 2), (3, 1)),
+    )
+    X, y = _random_data(config, rows=5, seed=6)
+    _assert_one_pass_per_coupling_layer_changes_no_bit(
+        config, ParameterSet.random(config, seed=6), X, y
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_circuit(max_pairs=6))
+def test_one_pass_per_coupling_layer_changes_no_bit_on_drawn_circuits(case):
+    _assert_one_pass_per_coupling_layer_changes_no_bit(*case)
 
 
 def test_tile_rows_takes_the_fewest_equal_tiles_that_fit():

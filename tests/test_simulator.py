@@ -247,7 +247,8 @@ def rotate(state, qubit: int, axis: str, angle: float) -> np.ndarray:
 
 def cnot(state, control: int, target: int) -> np.ndarray:
     states = np.asarray(state, dtype=complex)[:, None]
-    return simulator._cnot_batch(states, control, target, np.empty_like(states))[:, 0]
+    perm = simulator._coupling(len(states), ((control, target),))
+    return simulator._cnot_batch(states, perm, np.empty_like(states))[:, 0]
 
 
 def test_rx_pi_flips_with_phase():
@@ -285,6 +286,70 @@ def test_cnot_reverse_direction():
     state[1] = 1.0
     out = cnot(state, 1, 0)
     np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# coupling layers: one permutation per layer, against the CNOTs one at a time
+# ---------------------------------------------------------------------------
+
+
+def pairwise_couple(coupling_map, states, out):
+    """The map's CNOTs applied one at a time, each by its own one-pair
+    permutation: the oracle of ``simulator._couple``."""
+    for c, t in coupling_map:
+        perm = simulator._coupling(len(states), ((c, t),))
+        states, out = simulator._cnot_batch(states, perm, out), states
+    return states, out
+
+
+@st.composite
+def _coupling_maps(draw):
+    """(n, map) with 2-5 qubits and 0-6 directed pairs, repeats and reversals allowed."""
+    n = draw(st.integers(2, 5))
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    return n, tuple(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coupling_maps())
+def test_a_coupling_permutation_is_its_cnots_one_at_a_time(case):
+    """Basis state |j> leaves the layer as the label its CNOTs give j, one
+    pair at a time; the reversed map's permutation takes the layer off."""
+    n, coupling = case
+    dim = 2**n
+    labels = []
+    for j in range(dim):
+        for c, t in coupling:
+            if (j >> (n - 1 - c)) & 1:
+                j ^= 1 << (n - 1 - t)
+        labels.append(j)
+    perm, undo = simulator._coupling(dim, coupling), simulator._coupling(dim, coupling[::-1])
+    basis = np.eye(dim, dtype=complex)  # column j is |j>
+    out = simulator._cnot_batch(basis, perm, np.empty_like(basis))
+    np.testing.assert_array_equal(out, basis[:, labels])
+    np.testing.assert_array_equal(perm[undo], np.arange(dim))
+    assert not perm.flags.writeable and not undo.flags.writeable
+
+
+@pytest.mark.parametrize("entry, calls", [("expectation_batch", 3), ("mse_gradient", 6)])
+def test_each_coupling_layer_is_one_kernel_call(monkeypatch, entry, calls):
+    """On a 4-qubit chain of 2 layers each of the L + 1 = 3 layers is one
+    permutation, not one per CNOT; the adjoint sweep takes each off in one."""
+    config = CircuitConfig(n_qubits=4, n_layers=2)
+    params = ParameterSet.random(config, seed=2)
+    rng = np.random.default_rng(2)
+    X, y = rng.uniform(0, 2 * np.pi, size=(3, 4)), rng.uniform(-1, 1, size=3)
+    seen = []
+    kernel = simulator._cnot_batch
+
+    def counting(*args):
+        seen.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(simulator, "_cnot_batch", counting)
+    {"expectation_batch": lambda: expectation_batch(config, params, X),
+     "mse_gradient": lambda: simulator.mse_gradient(config, params, X, y)}[entry]()
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +498,36 @@ def test_numpy_integer_counts_are_stored_as_ints():
     assert surrogate_exact(config, params).fingerprint == fingerprint_of(config, params)
     assert config == CircuitConfig(2, 1, d_features=1)
     assert type(TrainConfig(max_iters=np.uint8(2)).max_iters) is int
+
+
+@pytest.mark.parametrize("index", [0.9, 1.0, np.float64(1.0), True, False, "1"], ids=repr)
+def test_qubit_and_feature_indices_are_integers(index):
+    """int(0.9) would wire qubit 0 and True qubit 1: each entry names its
+    field instead, in a config and in a circuit file's dict."""
+    coupling = "^coupling_map entry must be an integer, got "
+    feature = "^feature_assignment entry must be an integer, got "
+    makers = [
+        (coupling, lambda: CircuitConfig(3, 1, coupling_map=((index, 2),))),
+        (coupling, lambda: CircuitConfig(3, 1, coupling_map=((2, index),))),
+        (feature, lambda: CircuitConfig(2, 1, d_features=2, feature_assignment=(index, 0))),
+    ]
+    doc = CircuitConfig(n_qubits=3, n_layers=1, d_features=2).to_json_dict()
+    read = CircuitConfig.from_json_dict
+    makers += [
+        (coupling, lambda: read({**doc, "coupling_map": [[index, 2]]})),
+        (feature, lambda: read({**doc, "feature_assignment": [0, 1, index]})),
+    ]
+    for match, make in makers:
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
+def test_numpy_integer_indices_are_stored_as_ints():
+    config = CircuitConfig(
+        3, 1, coupling_map=((np.int64(2), np.uint8(0)),), feature_assignment=np.arange(3)
+    )
+    assert config == CircuitConfig(3, 1, coupling_map=((2, 0),), feature_assignment=(0, 1, 2))
+    assert {type(i) for i in (*config.coupling_map[0], *config.feature_assignment)} == {int}
 
 
 def test_config_round_trips_through_json():
@@ -683,6 +778,33 @@ def test_numpy_integer_shot_counts_are_accepted():
     assert NoiseConfig(shots=np.int64(3)).shots == 3
     assert TrainConfig(shots=np.uint8(2)).shots == 2
     assert sample_bitstrings(np.array([1.0, 0.0]), np.int32(5), seed=0) == {"0": 5}
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.0, np.float64(3.0), True, -1, "3"], ids=repr)
+def test_a_seed_is_a_non_negative_integer_everywhere(seed):
+    """A float or negative seed would pass here and fail later inside numpy's
+    SeedSequence, and True would pass as seed 1: each entry names the seed."""
+    match = "^seed must be a non-negative integer, got "
+    with pytest.raises(ValueError, match=match):
+        NoiseConfig(shots=8, seed=seed)
+    with pytest.raises(ValueError, match=match):
+        TrainConfig(seed=seed, shots=8)
+
+
+def test_numpy_integer_seeds_are_stored_as_ints():
+    assert type(NoiseConfig(seed=np.uint32(5)).seed) is int
+    assert type(TrainConfig(seed=np.int64(5)).seed) is int
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=repr)
+def test_a_bool_is_not_a_float_setting(flag):
+    """True would pass as a learning rate, tolerance or depolarizing p of 1.0."""
+    with pytest.raises(ValueError, match="^learning_rate must be positive and finite$"):
+        TrainConfig(learning_rate=flag)
+    with pytest.raises(ValueError, match="^tol must be non-negative and finite$"):
+        TrainConfig(tol=flag)
+    with pytest.raises(ValueError, match=r"^depolarizing_p must lie in \[0, 1\]$"):
+        NoiseConfig(depolarizing_p=flag)
 
 
 def test_sample_bitstrings_counts_and_labels():
